@@ -268,8 +268,7 @@ exploreDesignSpaceServed(const circuit::Technology &tech,
                 std::vector<dse::FsParetoPoint> front;
                 front.reserve(shard->front.size());
                 for (const DsePointWire &p : shard->front)
-                    front.push_back(
-                        {fromWire(p.config), fromWire(p.perf)});
+                    front.push_back({fromWire(p.config), p.perf});
                 return front;
             }
         }

@@ -160,10 +160,10 @@ Engine::executeDesignPoint(const DesignPointJob &job) const
         // rejection filter would.
         core::Performance perf;
         perf.rejectReason = violation;
-        return DesignPointResult{toWire(perf)};
+        return DesignPointResult{perf};
     }
     const core::PerformanceModel model(*tech);
-    return DesignPointResult{toWire(model.evaluate(cfg))};
+    return DesignPointResult{model.evaluate(cfg)};
 }
 
 Response
@@ -188,7 +188,7 @@ Engine::executeDseShard(const DseShardJob &job) const
     DseShardResult res;
     res.front.reserve(front.size());
     for (const dse::FsParetoPoint &p : front)
-        res.front.push_back({toWire(p.config), toWire(p.perf)});
+        res.front.push_back({toWire(p.config), p.perf});
     return res;
 }
 
@@ -433,18 +433,17 @@ Engine::executeLintImage(const LintImageJob &job) const
 }
 
 Response
-Engine::executeSwarm(const SwarmJob &job) const
+Engine::executeSwarm(const swarm::SwarmConfig &cfg) const
 {
     // FS_SWARM_MAX_DEVICES caps the fleet a single request may ask
     // this worker to simulate (hostile or fat-fingered requests).
     const std::uint64_t max_devices = util::envU64(
         "FS_SWARM_MAX_DEVICES", 2'000'000, 1, 100'000'000);
-    if (job.deviceCount == 0 || job.deviceCount > max_devices)
+    if (cfg.deviceCount == 0 || cfg.deviceCount > max_devices)
         return badRequest("deviceCount out of range [1, " +
                           std::to_string(max_devices) + "]");
-    if (job.traceCsv.size() > (4u << 20))
+    if (cfg.traceCsv.size() > (4u << 20))
         return badRequest("traceCsv too large (> 4 MiB)");
-    const swarm::SwarmConfig cfg = fromWire(job);
     const std::string reason = swarm::validateConfig(cfg);
     if (!reason.empty())
         return badRequest("swarm: " + reason);
@@ -466,7 +465,7 @@ Engine::execute(const Request &req) const
         return executeTorture(*t);
     if (const auto *g = std::get_if<GuestRunJob>(&req))
         return executeGuestRun(*g);
-    if (const auto *s = std::get_if<SwarmJob>(&req))
+    if (const auto *s = std::get_if<swarm::SwarmConfig>(&req))
         return executeSwarm(*s);
     return executeLintImage(std::get<LintImageJob>(req));
 }

@@ -99,7 +99,7 @@ class Engine
     Response executeTorture(const TortureJob &job) const;
     Response executeGuestRun(const GuestRunJob &job) const;
     Response executeLintImage(const LintImageJob &job) const;
-    Response executeSwarm(const SwarmJob &job) const;
+    Response executeSwarm(const swarm::SwarmConfig &cfg) const;
 
     Options opts_;
     std::unique_ptr<util::ThreadPool> owned_pool_;

@@ -3,64 +3,86 @@
 #include <bit>
 #include <cstring>
 #include <map>
+#include <type_traits>
+#include <utility>
 
 namespace fs {
 namespace serve {
 
 namespace {
 
-/** Little-endian canonical byte writer. */
+template <class T> struct IsVector : std::false_type {};
+template <class T> struct IsVector<std::vector<T>> : std::true_type {};
+
+/** Sequences whose elements are raw bytes on the wire. */
+template <class T>
+constexpr bool kIsByteSeq = std::is_same_v<T, std::string> ||
+                            std::is_same_v<T, std::vector<std::uint8_t>>;
+
+/**
+ * Canonical little-endian writer. Each value passed to operator() is
+ * appended: integers and enums at their own width, bool as one 0/1
+ * byte, doubles as their IEEE-754 bits (so they round-trip exactly),
+ * strings and vectors as a u32 count then the elements, and any other
+ * type through its fields() list below.
+ */
 class ByteWriter
 {
   public:
     explicit ByteWriter(std::vector<std::uint8_t> &out) : out_(out) {}
 
+    template <class... T>
     void
-    u8(std::uint8_t v)
+    operator()(const T &...v)
     {
-        out_.push_back(v);
+        (visit(v), ...);
     }
 
-    void
-    u16(std::uint16_t v)
-    {
-        out_.push_back(std::uint8_t(v & 0xff));
-        out_.push_back(std::uint8_t(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out_.push_back(std::uint8_t(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out_.push_back(std::uint8_t(v >> (8 * i)));
-    }
-
-    /** IEEE-754 bits, so the value round-trips exactly. */
-    void
-    f64(double v)
-    {
-        u64(std::bit_cast<std::uint64_t>(v));
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u32(std::uint32_t(s.size()));
-        out_.insert(out_.end(), s.begin(), s.end());
-    }
+    /** Decode-side validation; the encoder trusts its input. */
+    void require(bool, const char *) {}
 
   private:
+    template <std::size_t Bytes>
+    void
+    le(std::uint64_t v)
+    {
+        for (std::size_t i = 0; i < Bytes; ++i)
+            out_.push_back(std::uint8_t(v >> (8 * i)));
+    }
+
+    template <class T>
+    void
+    visit(const T &v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            visit(std::underlying_type_t<T>(v));
+        } else if constexpr (std::is_integral_v<T>) {
+            le<sizeof(T)>(std::uint64_t(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+            le<8>(std::bit_cast<std::uint64_t>(v));
+        } else if constexpr (kIsByteSeq<T>) {
+            le<4>(v.size());
+            out_.insert(out_.end(), v.begin(), v.end());
+        } else if constexpr (IsVector<T>::value) {
+            le<4>(v.size());
+            for (const auto &e : v)
+                visit(e);
+        } else {
+            // fields() lists are shared with ByteReader, hence take a
+            // mutable reference; writing never modifies the value.
+            fields(*this, const_cast<T &>(v));
+        }
+    }
+
     std::vector<std::uint8_t> &out_;
 };
 
-/** Bounds-checked little-endian reader; sticky failure flag. */
+/**
+ * Bounds-checked reader for the same encoding, driven by the same
+ * fields() lists. Failure is sticky: after the first short read or
+ * failed require() every later read is a no-op returning zeros, and
+ * error() names the failed require (nullptr for a short read).
+ */
 class ByteReader
 {
   public:
@@ -71,331 +93,475 @@ class ByteReader
 
     bool ok() const { return ok_; }
     bool atEnd() const { return pos_ == len_; }
+    const char *error() const { return error_; }
 
-    std::uint8_t
-    u8()
+    template <class... T>
+    void
+    operator()(T &...v)
     {
-        if (!need(1))
-            return 0;
-        return data_[pos_++];
+        (visit(v), ...);
     }
 
-    std::uint16_t
-    u16()
+    /** Fail the decode with `why` unless `cond` holds. */
+    void
+    require(bool cond, const char *why)
     {
-        if (!need(2))
-            return 0;
-        std::uint16_t v = std::uint16_t(data_[pos_] |
-                                        (data_[pos_ + 1] << 8));
-        pos_ += 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t(data_[pos_ + std::size_t(i)]) <<
-                 (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(data_[pos_ + std::size_t(i)]) <<
-                 (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        return std::bit_cast<double>(u64());
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (!need(n))
-            return {};
-        std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
-        pos_ += n;
-        return s;
+        if (ok_ && !cond) {
+            ok_ = false;
+            error_ = why;
+        }
     }
 
   private:
     bool
     need(std::size_t n)
     {
-        if (!ok_ || len_ - pos_ < n) {
-            ok_ = false;
-            return false;
+        require(len_ - pos_ >= n, nullptr);
+        return ok_;
+    }
+
+    template <std::size_t Bytes>
+    std::uint64_t
+    le()
+    {
+        if (!need(Bytes))
+            return 0;
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < Bytes; ++i)
+            v |= std::uint64_t(data_[pos_ + i]) << (8 * i);
+        pos_ += Bytes;
+        return v;
+    }
+
+    template <class T>
+    void
+    visit(T &v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> u{};
+            visit(u);
+            v = T(u);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            // Only 0 and 1 re-encode to the bytes they came from.
+            const std::uint64_t b = le<1>();
+            require(b <= 1, "non-canonical bool");
+            v = b != 0;
+        } else if constexpr (std::is_integral_v<T>) {
+            v = T(le<sizeof(T)>());
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = std::bit_cast<double>(le<8>());
+        } else if constexpr (kIsByteSeq<T>) {
+            // The bytes are checked present before anything is allocated.
+            const std::size_t n = std::size_t(le<4>());
+            if (need(n)) {
+                v.assign(data_ + pos_, data_ + pos_ + n);
+                pos_ += n;
+            }
+        } else if constexpr (IsVector<T>::value) {
+            // The count is untrusted. Reserve it only when that many
+            // elements, at their in-memory size (never below their wire
+            // size), fit in the unread bytes, so a hostile count cannot
+            // allocate more than the payload's own length. Otherwise
+            // memory grows only as elements are actually read.
+            const std::uint64_t n = le<4>();
+            if (n <= (len_ - pos_) / sizeof(typename T::value_type))
+                v.reserve(std::size_t(n));
+            for (std::uint64_t i = 0; ok_ && i < n; ++i)
+                visit(v.emplace_back());
+        } else {
+            fields(*this, v);
         }
-        return true;
     }
 
     const std::uint8_t *data_;
     std::size_t len_;
     std::size_t pos_ = 0;
     bool ok_ = true;
+    const char *error_ = nullptr;
 };
 
-// --- per-struct codecs (field order is the wire contract) ------------
+// --- field lists: each struct's wire order, written once -------------
+//
+// ByteWriter and ByteReader both run these, so the encoder and decoder
+// cannot disagree. Adding a field here changes the golden bytes pinned
+// in test_serve, which calls for a kWireVersion bump.
+
+template <class Io>
+void
+fields(Io &io, WorkloadSpec &v)
+{
+    io(v.kind, v.a, v.b, v.seed);
+}
+
+template <class Io>
+void
+fields(Io &io, RoSweepJob &v)
+{
+    io(v.tech, v.stages, v.cell, v.speed, v.tempC, v.vStart, v.vEnd,
+       v.vStep);
+}
+
+template <class Io>
+void
+fields(Io &io, RoSweepResult &v)
+{
+    io(v.frequenciesHz);
+}
+
+template <class Io>
+void
+fields(Io &io, ConfigWire &v)
+{
+    io(v.roStages, v.sampleRate, v.counterBits, v.enableTime,
+       v.nvmEntries, v.entryBits, v.dividerTap, v.dividerTotal,
+       v.strategy);
+}
+
+template <class Io>
+void
+fields(Io &io, core::Performance &v)
+{
+    io(v.realizable, v.rejectReason, v.meanCurrent, v.sampleRate,
+       v.granularity, v.nvmBytes, v.transistors, v.quantizationError,
+       v.thermalError, v.interpolationError);
+}
+
+template <class Io>
+void
+fields(Io &io, DesignPointJob &v)
+{
+    io(v.tech, v.config);
+}
+
+template <class Io>
+void
+fields(Io &io, DesignPointResult &v)
+{
+    io(v.perf);
+}
+
+template <class Io>
+void
+fields(Io &io, DseShardJob &v)
+{
+    io(v.tech, v.populationSize, v.generations, v.seed, v.fixedRate,
+       v.exploreDivider);
+}
+
+template <class Io>
+void
+fields(Io &io, DsePointWire &v)
+{
+    io(v.config, v.perf);
+}
+
+template <class Io>
+void
+fields(Io &io, DseShardResult &v)
+{
+    io(v.front);
+}
+
+template <class Io>
+void
+fields(Io &io, TortureJob &v)
+{
+    io(v.workload, v.sramSize, v.stableCycles, v.lowCycles, v.seed,
+       v.killsPerWindow, v.randomKills, v.exhaustivePoints,
+       v.pointOffset, v.pointCount, v.coverageMap);
+}
+
+template <class Io>
+void
+fields(Io &io, TortureCoverageWire &v)
+{
+    io(v.addr, v.cls, v.rank, v.points, v.killed, v.correct,
+       v.incorrect, v.coldRestarts, v.killTears);
+}
+
+template <class Io>
+void
+fields(Io &io, TortureResult &v)
+{
+    io(v.cleanCycles, v.checkpoints, v.checkpointVolts, v.points,
+       v.killed, v.killTears, v.coldRestarts, v.tornRestores,
+       v.correct, v.incorrect, v.outcomeFlags, v.results, v.coverage);
+}
+
+template <class Io>
+void
+fields(Io &io, GuestRunJob &v)
+{
+    io(v.workload, v.traceCache);
+}
+
+template <class Io>
+void
+fields(Io &io, GuestRunResult &v)
+{
+    io(v.name, v.result, v.expected, v.correct, v.instructions);
+}
+
+template <class Io>
+void
+fields(Io &io, LintImageJob &v)
+{
+    io(v.name, v.code, v.emitPruning);
+}
+
+template <class Io>
+void
+fields(Io &io, LintImageResult &v)
+{
+    io(v.image, v.errors, v.warnings, v.notes, v.worstCaseCommitCycles,
+       v.budgetCycles, v.staticEnergyBound, v.energyBudgetJoules,
+       v.reportJson, v.pruningJson);
+}
+
+template <class Io>
+void
+fields(Io &io, swarm::SwarmConfig &v)
+{
+    io(v.deviceCount, v.firstDevice, v.spanDevices, v.seed, v.profile,
+       v.traceSeconds, v.segmentSeconds, v.ckptPeriodS, v.zThreshold,
+       v.warmup, v.tripsToFlag, v.anomalyEvery, v.anomalyFactor,
+       v.traceCsv);
+}
+
+template <class Io>
+void
+fields(Io &io, swarm::BlockStats &v)
+{
+    io(v.lifetime, v.cadence, v.dead);
+}
+
+template <class Io>
+void
+fields(Io &io, swarm::SwarmAggregates &v)
+{
+    io(v.firstBlock, v.deviceCount, v.blocks);
+    io.require(v.blocks.size() ==
+                   (v.deviceCount + swarm::kSwarmBlock - 1) /
+                       swarm::kSwarmBlock,
+               "swarm block count does not match device count");
+    io(v.lifetimeHist, v.cadenceHist, v.deadHist, v.lifetimeSample,
+       v.cadenceSample, v.deadSample, v.boots, v.checkpoints,
+       v.failedCheckpoints, v.flaggedDevices, v.cohortDevices,
+       v.flaggedInCohort, v.neverBooted);
+}
+
+template <class Io>
+void
+fields(Io &io, SwarmResult &v)
+{
+    io(v.agg);
+}
+
+template <class Io>
+void
+fields(Io &io, ErrorResult &v)
+{
+    io(v.code, v.message);
+}
+
+template <class Io>
+void
+fields(Io &io, PingJob &v)
+{
+    io(v.nonce);
+}
+
+template <class Io>
+void
+fields(Io &io, PingResult &v)
+{
+    io(v.nonce, v.queueDepth, v.cacheEntries, v.draining);
+}
+
+template <class Io>
+void
+fields(Io &io, CacheInsertJob &v)
+{
+    io(v.key, v.kind, v.payload);
+}
+
+template <class Io>
+void
+fields(Io &io, CacheInsertResult &v)
+{
+    io(v.stored);
+}
+
+// --- sketches: decode rebuilds or validates, so each has two sides ---
 
 void
-put(ByteWriter &w, const WorkloadSpec &v)
+fields(ByteWriter &w, RunningStats &s)
 {
-    w.u8(std::uint8_t(v.kind));
-    w.u32(v.a);
-    w.u32(v.b);
-    w.u64(v.seed);
-}
-
-WorkloadSpec
-getWorkload(ByteReader &r)
-{
-    WorkloadSpec v;
-    v.kind = WorkloadSpec::Kind(r.u8());
-    v.a = r.u32();
-    v.b = r.u32();
-    v.seed = r.u64();
-    return v;
+    w(std::uint64_t(s.count()), s.mean(), s.m2(), s.rawMin(),
+      s.rawMax());
 }
 
 void
-put(ByteWriter &w, const ConfigWire &v)
+fields(ByteReader &r, RunningStats &s)
 {
-    w.u64(v.roStages);
-    w.f64(v.sampleRate);
-    w.u64(v.counterBits);
-    w.f64(v.enableTime);
-    w.u64(v.nvmEntries);
-    w.u64(v.entryBits);
-    w.u64(v.dividerTap);
-    w.u64(v.dividerTotal);
-    w.u8(v.strategy);
-}
-
-ConfigWire
-getConfig(ByteReader &r)
-{
-    ConfigWire v;
-    v.roStages = r.u64();
-    v.sampleRate = r.f64();
-    v.counterBits = r.u64();
-    v.enableTime = r.f64();
-    v.nvmEntries = r.u64();
-    v.entryBits = r.u64();
-    v.dividerTap = r.u64();
-    v.dividerTotal = r.u64();
-    v.strategy = r.u8();
-    return v;
+    std::uint64_t n = 0;
+    double mean = 0.0, m2 = 0.0, mn = 0.0, mx = 0.0;
+    r(n, mean, m2, mn, mx);
+    s = RunningStats::fromMoments(std::size_t(n), mean, m2, mn, mx);
 }
 
 void
-put(ByteWriter &w, const PerformanceWire &v)
+fields(ByteWriter &w, LogHistogram &h)
 {
-    w.u8(v.realizable);
-    w.str(v.rejectReason);
-    w.f64(v.meanCurrent);
-    w.f64(v.sampleRate);
-    w.f64(v.granularity);
-    w.u64(v.nvmBytes);
-    w.u64(v.transistors);
-    w.f64(v.quantizationError);
-    w.f64(v.thermalError);
-    w.f64(v.interpolationError);
-}
-
-PerformanceWire
-getPerformance(ByteReader &r)
-{
-    PerformanceWire v;
-    v.realizable = r.u8();
-    v.rejectReason = r.str();
-    v.meanCurrent = r.f64();
-    v.sampleRate = r.f64();
-    v.granularity = r.f64();
-    v.nvmBytes = r.u64();
-    v.transistors = r.u64();
-    v.quantizationError = r.f64();
-    v.thermalError = r.f64();
-    v.interpolationError = r.f64();
-    return v;
-}
-
-// --- swarm aggregate transport ---------------------------------------
-
-void
-put(ByteWriter &w, const RunningStats &s)
-{
-    w.u64(std::uint64_t(s.count()));
-    w.f64(s.count() ? s.mean() : 0.0);
-    w.f64(s.m2());
-    w.f64(s.rawMin());
-    w.f64(s.rawMax());
-}
-
-RunningStats
-getRunningStats(ByteReader &r)
-{
-    const std::uint64_t n = r.u64();
-    const double mean = r.f64();
-    const double m2 = r.f64();
-    const double mn = r.f64();
-    const double mx = r.f64();
-    return RunningStats::fromMoments(std::size_t(n), mean, m2, mn, mx);
-}
-
-void
-put(ByteWriter &w, const LogHistogram &h)
-{
-    w.u32(std::uint32_t(std::int32_t(h.minExp())));
-    w.u32(std::uint32_t(std::int32_t(h.maxExp())));
-    w.u32(std::uint32_t(h.bucketsPerDecade()));
-    w.u32(std::uint32_t(h.buckets()));
+    w(std::int32_t(h.minExp()), std::int32_t(h.maxExp()),
+      std::uint32_t(h.bucketsPerDecade()), std::uint32_t(h.buckets()));
     for (std::size_t b = 0; b < h.buckets(); ++b)
-        w.u64(h.countAt(b));
-    w.u64(h.underflow());
-    w.u64(h.overflow());
+        w(h.countAt(b));
+    w(h.underflow(), h.overflow());
 }
 
 /** Decode into `h`, whose geometry is authoritative (reject others). */
-bool
-getLogHistogram(ByteReader &r, LogHistogram &h, std::string &err)
+void
+fields(ByteReader &r, LogHistogram &h)
 {
-    const auto min_exp = std::int32_t(r.u32());
-    const auto max_exp = std::int32_t(r.u32());
-    const std::uint32_t per_decade = r.u32();
-    const std::uint32_t buckets = r.u32();
-    if (!r.ok())
-        return false;
-    if (min_exp != h.minExp() || max_exp != h.maxExp() ||
-        per_decade != h.bucketsPerDecade() || buckets != h.buckets()) {
-        err = "swarm histogram geometry mismatch";
-        return false;
-    }
+    std::int32_t min_exp = 0, max_exp = 0;
+    std::uint32_t per_decade = 0, buckets = 0;
+    r(min_exp, max_exp, per_decade, buckets);
+    r.require(min_exp == h.minExp() && max_exp == h.maxExp() &&
+                  per_decade == h.bucketsPerDecade() &&
+                  buckets == h.buckets(),
+              "swarm histogram geometry mismatch");
     for (std::uint32_t b = 0; r.ok() && b < buckets; ++b) {
-        const std::uint64_t n = r.u64();
+        std::uint64_t n = 0;
+        r(n);
         if (n != 0)
             h.addToBucket(b, n);
     }
-    h.addUnderflow(r.u64());
-    h.addOverflow(r.u64());
-    return r.ok();
+    std::uint64_t under = 0, over = 0;
+    r(under, over);
+    h.addUnderflow(under);
+    h.addOverflow(over);
 }
 
 void
-put(ByteWriter &w, const ReservoirSample &s)
+fields(ByteWriter &w, ReservoirSample &s)
 {
-    w.u32(std::uint32_t(s.k()));
-    w.u64(s.seed());
     const std::vector<ReservoirSample::Entry> entries = s.sorted();
-    w.u32(std::uint32_t(entries.size()));
-    // Priorities are a pure function of (seed, tag); the decoder
+    w(std::uint32_t(s.k()), s.seed(), std::uint32_t(entries.size()));
+    // Priorities are a pure function of (seed, tag); the reader
     // recomputes them, so only (tag, value) travels.
-    for (const ReservoirSample::Entry &e : entries) {
-        w.u64(e.tag);
-        w.f64(e.value);
-    }
+    for (const ReservoirSample::Entry &e : entries)
+        w(e.tag, e.value);
 }
 
-bool
-getReservoirSample(ByteReader &r, ReservoirSample &s, std::string &err)
+/** Decode into `s`, whose k and seed are authoritative. */
+void
+fields(ByteReader &r, ReservoirSample &s)
 {
-    const std::uint32_t k = r.u32();
-    const std::uint64_t seed = r.u64();
-    const std::uint32_t n = r.u32();
-    if (!r.ok())
-        return false;
-    if (k != s.k() || seed != s.seed() || n > k) {
-        err = "swarm reservoir parameters mismatch";
-        return false;
-    }
+    std::uint32_t k = 0, n = 0;
+    std::uint64_t seed = 0;
+    r(k, seed, n);
+    r.require(k == s.k() && seed == s.seed() && n <= k,
+              "swarm reservoir parameters mismatch");
     for (std::uint32_t i = 0; r.ok() && i < n; ++i) {
-        const std::uint64_t tag = r.u64();
-        const double value = r.f64();
+        std::uint64_t tag = 0;
+        double value = 0.0;
+        r(tag, value);
         s.add(tag, value);
     }
-    return r.ok();
 }
 
-void
-put(ByteWriter &w, const swarm::SwarmAggregates &a)
+// --- kinds -----------------------------------------------------------
+
+struct KindRow {
+    MsgKind request;
+    MsgKind reply;
+};
+
+/**
+ * The one kind table. Row i is Request alternative i and Response
+ * alternative i; the ErrorResult row has no request, and the control-
+ * plane rows after it have no variant alternative.
+ */
+constexpr KindRow kKinds[] = {
+    {MsgKind::kRoSweep, MsgKind::kRoSweepReply},
+    {MsgKind::kDesignPoint, MsgKind::kDesignPointReply},
+    {MsgKind::kDseShard, MsgKind::kDseShardReply},
+    {MsgKind::kTorture, MsgKind::kTortureReply},
+    {MsgKind::kGuestRun, MsgKind::kGuestRunReply},
+    {MsgKind::kLintImage, MsgKind::kLintImageReply},
+    {MsgKind::kSwarm, MsgKind::kSwarmReply},
+    {MsgKind{}, MsgKind::kErrorReply},
+    {MsgKind::kPing, MsgKind::kPingReply},
+    {MsgKind::kCacheInsert, MsgKind::kCacheInsertReply},
+};
+static_assert(std::variant_size_v<Request> == 7 &&
+                  std::variant_size_v<Response> == 8,
+              "every variant alternative needs its kKinds row");
+
+/** First of the leading `rows` rows whose `column` is `kind`, or rows. */
+std::size_t
+rowOf(MsgKind kind, MsgKind KindRow::*column, std::size_t rows)
 {
-    w.u64(a.firstBlock);
-    w.u64(a.deviceCount);
-    w.u32(std::uint32_t(a.blocks.size()));
-    for (const swarm::BlockStats &b : a.blocks) {
-        put(w, b.lifetime);
-        put(w, b.cadence);
-        put(w, b.dead);
-    }
-    put(w, a.lifetimeHist);
-    put(w, a.cadenceHist);
-    put(w, a.deadHist);
-    put(w, a.lifetimeSample);
-    put(w, a.cadenceSample);
-    put(w, a.deadSample);
-    w.u64(a.boots);
-    w.u64(a.checkpoints);
-    w.u64(a.failedCheckpoints);
-    w.u64(a.flaggedDevices);
-    w.u64(a.cohortDevices);
-    w.u64(a.flaggedInCohort);
-    w.u64(a.neverBooted);
+    std::size_t i = 0;
+    while (i < rows && kKinds[i].*column != kind)
+        ++i;
+    return i;
 }
 
+// --- payload codecs --------------------------------------------------
+
+/** Decode epilogue: the payload must be consumed exactly. */
 bool
-getSwarmAggregates(ByteReader &r, swarm::SwarmAggregates &a,
-                   std::string &err)
+finish(const ByteReader &r, const char *what, std::string &err)
 {
-    a.firstBlock = r.u64();
-    a.deviceCount = r.u64();
-    const std::uint32_t block_count = r.u32();
     if (!r.ok())
-        return false;
-    // Block count must match the device span exactly.
-    const std::uint64_t expected =
-        (a.deviceCount + swarm::kSwarmBlock - 1) / swarm::kSwarmBlock;
-    if (block_count != expected) {
-        err = "swarm block count does not match device count";
+        err = r.error() ? r.error()
+                        : std::string("truncated ") + what + " payload";
+    else if (!r.atEnd())
+        err = std::string("trailing bytes after ") + what + " payload";
+    return r.ok() && r.atEnd();
+}
+
+template <class T>
+std::vector<std::uint8_t>
+encodeFields(const T &v)
+{
+    std::vector<std::uint8_t> bytes;
+    ByteWriter w(bytes);
+    w(v);
+    return bytes;
+}
+
+template <class T>
+bool
+decodeFields(const std::uint8_t *data, std::size_t len, T &out,
+             const char *what, std::string &err)
+{
+    ByteReader r(data, len);
+    r(out);
+    return finish(r, what, err);
+}
+
+/** Decode the alternative that `column` of kKinds assigns to `kind`. */
+template <class Variant>
+bool
+decodeVariant(MsgKind kind, MsgKind KindRow::*column, const char *what,
+              const std::uint8_t *data, std::size_t len, Variant &out,
+              std::string &err)
+{
+    constexpr std::size_t kAlts = std::variant_size_v<Variant>;
+    const std::size_t alt = rowOf(kind, column, kAlts);
+    if (alt == kAlts) {
+        err = std::string("unknown ") + what + " kind " +
+              std::to_string(unsigned(kind));
         return false;
     }
-    a.blocks.reserve(block_count);
-    for (std::uint32_t i = 0; r.ok() && i < block_count; ++i) {
-        swarm::BlockStats b;
-        b.lifetime = getRunningStats(r);
-        b.cadence = getRunningStats(r);
-        b.dead = getRunningStats(r);
-        a.blocks.push_back(b);
-    }
-    if (!getLogHistogram(r, a.lifetimeHist, err) ||
-        !getLogHistogram(r, a.cadenceHist, err) ||
-        !getLogHistogram(r, a.deadHist, err) ||
-        !getReservoirSample(r, a.lifetimeSample, err) ||
-        !getReservoirSample(r, a.cadenceSample, err) ||
-        !getReservoirSample(r, a.deadSample, err))
-        return false;
-    a.boots = r.u64();
-    a.checkpoints = r.u64();
-    a.failedCheckpoints = r.u64();
-    a.flaggedDevices = r.u64();
-    a.cohortDevices = r.u64();
-    a.flaggedInCohort = r.u64();
-    a.neverBooted = r.u64();
-    return r.ok();
+    ByteReader r(data, len);
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((alt == I ? r(out.template emplace<I>()) : void()), ...);
+    }(std::make_index_sequence<kAlts>{});
+    return finish(r, what, err);
 }
 
 } // namespace
@@ -415,92 +581,25 @@ mergeSwarmResult(SwarmResult &into, const SwarmResult &shard,
     return true;
 }
 
-SwarmJob
-toWire(const swarm::SwarmConfig &cfg)
-{
-    SwarmJob w;
-    w.deviceCount = cfg.deviceCount;
-    w.firstDevice = cfg.firstDevice;
-    w.spanDevices = cfg.spanDevices;
-    w.seed = cfg.seed;
-    w.profile = std::uint32_t(cfg.profile);
-    w.traceSeconds = cfg.traceSeconds;
-    w.segmentSeconds = cfg.segmentSeconds;
-    w.ckptPeriodS = cfg.ckptPeriodS;
-    w.zThreshold = cfg.zThreshold;
-    w.warmup = cfg.warmup;
-    w.tripsToFlag = cfg.tripsToFlag;
-    w.anomalyEvery = cfg.anomalyEvery;
-    w.anomalyFactor = cfg.anomalyFactor;
-    w.traceCsv = cfg.traceCsv;
-    return w;
-}
-
-swarm::SwarmConfig
-fromWire(const SwarmJob &w)
-{
-    swarm::SwarmConfig cfg;
-    cfg.deviceCount = w.deviceCount;
-    cfg.firstDevice = w.firstDevice;
-    cfg.spanDevices = w.spanDevices;
-    cfg.seed = w.seed;
-    cfg.profile = swarm::HarvestProfile(w.profile);
-    cfg.traceSeconds = w.traceSeconds;
-    cfg.segmentSeconds = w.segmentSeconds;
-    cfg.ckptPeriodS = w.ckptPeriodS;
-    cfg.zThreshold = w.zThreshold;
-    cfg.warmup = w.warmup;
-    cfg.tripsToFlag = w.tripsToFlag;
-    cfg.anomalyEvery = w.anomalyEvery;
-    cfg.anomalyFactor = w.anomalyFactor;
-    cfg.traceCsv = w.traceCsv;
-    return cfg;
-}
-
 MsgKind
 requestKind(const Request &req)
 {
-    switch (req.index()) {
-      case 0: return MsgKind::kRoSweep;
-      case 1: return MsgKind::kDesignPoint;
-      case 2: return MsgKind::kDseShard;
-      case 3: return MsgKind::kTorture;
-      case 4: return MsgKind::kGuestRun;
-      case 5: return MsgKind::kLintImage;
-      default: return MsgKind::kSwarm;
-    }
+    return kKinds[req.index()].request;
 }
 
 MsgKind
 responseKind(const Response &resp)
 {
-    switch (resp.index()) {
-      case 0: return MsgKind::kRoSweepReply;
-      case 1: return MsgKind::kDesignPointReply;
-      case 2: return MsgKind::kDseShardReply;
-      case 3: return MsgKind::kTortureReply;
-      case 4: return MsgKind::kGuestRunReply;
-      case 5: return MsgKind::kLintImageReply;
-      case 6: return MsgKind::kSwarmReply;
-      default: return MsgKind::kErrorReply;
-    }
+    return kKinds[resp.index()].reply;
 }
 
 MsgKind
 replyKindFor(MsgKind request_kind)
 {
-    switch (request_kind) {
-      case MsgKind::kRoSweep: return MsgKind::kRoSweepReply;
-      case MsgKind::kDesignPoint: return MsgKind::kDesignPointReply;
-      case MsgKind::kDseShard: return MsgKind::kDseShardReply;
-      case MsgKind::kTorture: return MsgKind::kTortureReply;
-      case MsgKind::kGuestRun: return MsgKind::kGuestRunReply;
-      case MsgKind::kLintImage: return MsgKind::kLintImageReply;
-      case MsgKind::kSwarm: return MsgKind::kSwarmReply;
-      case MsgKind::kPing: return MsgKind::kPingReply;
-      case MsgKind::kCacheInsert: return MsgKind::kCacheInsertReply;
-      default: return MsgKind::kErrorReply;
-    }
+    const std::size_t row =
+        rowOf(request_kind, &KindRow::request, std::size(kKinds));
+    return row < std::size(kKinds) ? kKinds[row].reply
+                                   : MsgKind::kErrorReply;
 }
 
 int
@@ -519,164 +618,60 @@ requestPriority(MsgKind kind)
 std::vector<std::uint8_t>
 encodePing(const PingJob &job)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(job.nonce);
-    return bytes;
+    return encodeFields(job);
 }
 
 bool
 decodePing(const std::uint8_t *data, std::size_t len, PingJob &out,
            std::string &err)
 {
-    ByteReader r(data, len);
-    out.nonce = r.u64();
-    if (!r.ok() || !r.atEnd()) {
-        err = "bad ping payload";
-        return false;
-    }
-    return true;
+    return decodeFields(data, len, out, "ping", err);
 }
 
 std::vector<std::uint8_t>
 encodePingResult(const PingResult &res)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(res.nonce);
-    w.u32(res.queueDepth);
-    w.u64(res.cacheEntries);
-    w.u8(res.draining);
-    return bytes;
+    return encodeFields(res);
 }
 
 bool
 decodePingResult(const std::uint8_t *data, std::size_t len,
                  PingResult &out, std::string &err)
 {
-    ByteReader r(data, len);
-    out.nonce = r.u64();
-    out.queueDepth = r.u32();
-    out.cacheEntries = r.u64();
-    out.draining = r.u8();
-    if (!r.ok() || !r.atEnd()) {
-        err = "bad ping reply payload";
-        return false;
-    }
-    return true;
+    return decodeFields(data, len, out, "ping reply", err);
 }
 
 std::vector<std::uint8_t>
 encodeCacheInsert(const CacheInsertJob &job)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u64(job.key);
-    w.u16(job.kind);
-    w.u32(std::uint32_t(job.payload.size()));
-    bytes.insert(bytes.end(), job.payload.begin(), job.payload.end());
-    return bytes;
+    return encodeFields(job);
 }
 
 bool
 decodeCacheInsert(const std::uint8_t *data, std::size_t len,
                   CacheInsertJob &out, std::string &err)
 {
-    ByteReader r(data, len);
-    out.key = r.u64();
-    out.kind = r.u16();
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || len - (8 + 2 + 4) != n) {
-        err = "bad cache-insert payload";
-        return false;
-    }
-    out.payload.assign(data + 14, data + 14 + n);
-    return true;
+    return decodeFields(data, len, out, "cache-insert", err);
 }
 
 std::vector<std::uint8_t>
 encodeCacheInsertResult(const CacheInsertResult &res)
 {
-    std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    w.u8(res.stored);
-    return bytes;
+    return encodeFields(res);
 }
 
 bool
 decodeCacheInsertResult(const std::uint8_t *data, std::size_t len,
                         CacheInsertResult &out, std::string &err)
 {
-    ByteReader r(data, len);
-    out.stored = r.u8();
-    if (!r.ok() || !r.atEnd()) {
-        err = "bad cache-insert reply payload";
-        return false;
-    }
-    return true;
+    return decodeFields(data, len, out, "cache-insert reply", err);
 }
 
 std::vector<std::uint8_t>
 encodeRequestPayload(const Request &req)
 {
     std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    if (const auto *ro = std::get_if<RoSweepJob>(&req)) {
-        w.str(ro->tech);
-        w.u32(ro->stages);
-        w.u8(ro->cell);
-        w.f64(ro->speed);
-        w.f64(ro->tempC);
-        w.f64(ro->vStart);
-        w.f64(ro->vEnd);
-        w.f64(ro->vStep);
-    } else if (const auto *dp = std::get_if<DesignPointJob>(&req)) {
-        w.str(dp->tech);
-        put(w, dp->config);
-    } else if (const auto *dse = std::get_if<DseShardJob>(&req)) {
-        w.str(dse->tech);
-        w.u32(dse->populationSize);
-        w.u32(dse->generations);
-        w.u64(dse->seed);
-        w.f64(dse->fixedRate);
-        w.u8(dse->exploreDivider);
-    } else if (const auto *t = std::get_if<TortureJob>(&req)) {
-        put(w, t->workload);
-        w.u32(t->sramSize);
-        w.u64(t->stableCycles);
-        w.u64(t->lowCycles);
-        w.u64(t->seed);
-        w.u32(t->killsPerWindow);
-        w.u32(t->randomKills);
-        w.u64(t->exhaustivePoints);
-        w.u64(t->pointOffset);
-        w.u64(t->pointCount);
-        w.u8(t->coverageMap);
-    } else if (const auto *g = std::get_if<GuestRunJob>(&req)) {
-        put(w, g->workload);
-        w.u8(g->traceCache);
-    } else if (const auto *l = std::get_if<LintImageJob>(&req)) {
-        w.str(l->name);
-        w.u32(std::uint32_t(l->code.size()));
-        for (std::uint32_t word : l->code)
-            w.u32(word);
-        w.u8(l->emitPruning);
-    } else if (const auto *s = std::get_if<SwarmJob>(&req)) {
-        w.u64(s->deviceCount);
-        w.u64(s->firstDevice);
-        w.u64(s->spanDevices);
-        w.u64(s->seed);
-        w.u32(s->profile);
-        w.f64(s->traceSeconds);
-        w.f64(s->segmentSeconds);
-        w.f64(s->ckptPeriodS);
-        w.f64(s->zThreshold);
-        w.u32(s->warmup);
-        w.u32(s->tripsToFlag);
-        w.u64(s->anomalyEvery);
-        w.f64(s->anomalyFactor);
-        w.str(s->traceCsv);
-    }
+    std::visit(ByteWriter(bytes), req);
     return bytes;
 }
 
@@ -684,176 +679,15 @@ bool
 decodeRequestPayload(MsgKind kind, const std::uint8_t *data,
                      std::size_t len, Request &out, std::string &err)
 {
-    ByteReader r(data, len);
-    switch (kind) {
-      case MsgKind::kRoSweep: {
-          RoSweepJob job;
-          job.tech = r.str();
-          job.stages = r.u32();
-          job.cell = r.u8();
-          job.speed = r.f64();
-          job.tempC = r.f64();
-          job.vStart = r.f64();
-          job.vEnd = r.f64();
-          job.vStep = r.f64();
-          out = job;
-          break;
-      }
-      case MsgKind::kDesignPoint: {
-          DesignPointJob job;
-          job.tech = r.str();
-          job.config = getConfig(r);
-          out = job;
-          break;
-      }
-      case MsgKind::kDseShard: {
-          DseShardJob job;
-          job.tech = r.str();
-          job.populationSize = r.u32();
-          job.generations = r.u32();
-          job.seed = r.u64();
-          job.fixedRate = r.f64();
-          job.exploreDivider = r.u8();
-          out = job;
-          break;
-      }
-      case MsgKind::kTorture: {
-          TortureJob job;
-          job.workload = getWorkload(r);
-          job.sramSize = r.u32();
-          job.stableCycles = r.u64();
-          job.lowCycles = r.u64();
-          job.seed = r.u64();
-          job.killsPerWindow = r.u32();
-          job.randomKills = r.u32();
-          job.exhaustivePoints = r.u64();
-          job.pointOffset = r.u64();
-          job.pointCount = r.u64();
-          job.coverageMap = r.u8();
-          out = job;
-          break;
-      }
-      case MsgKind::kGuestRun: {
-          GuestRunJob job;
-          job.workload = getWorkload(r);
-          job.traceCache = r.u8();
-          out = job;
-          break;
-      }
-      case MsgKind::kLintImage: {
-          LintImageJob job;
-          job.name = r.str();
-          const std::uint32_t n = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < n; ++i)
-              job.code.push_back(r.u32());
-          job.emitPruning = r.u8();
-          out = std::move(job);
-          break;
-      }
-      case MsgKind::kSwarm: {
-          SwarmJob job;
-          job.deviceCount = r.u64();
-          job.firstDevice = r.u64();
-          job.spanDevices = r.u64();
-          job.seed = r.u64();
-          job.profile = r.u32();
-          job.traceSeconds = r.f64();
-          job.segmentSeconds = r.f64();
-          job.ckptPeriodS = r.f64();
-          job.zThreshold = r.f64();
-          job.warmup = r.u32();
-          job.tripsToFlag = r.u32();
-          job.anomalyEvery = r.u64();
-          job.anomalyFactor = r.f64();
-          job.traceCsv = r.str();
-          out = std::move(job);
-          break;
-      }
-      default:
-        err = "unknown request kind " +
-              std::to_string(unsigned(kind));
-        return false;
-    }
-    if (!r.ok()) {
-        err = "truncated request payload";
-        return false;
-    }
-    if (!r.atEnd()) {
-        err = "trailing bytes after request payload";
-        return false;
-    }
-    return true;
+    return decodeVariant(kind, &KindRow::request, "request", data, len,
+                         out, err);
 }
 
 std::vector<std::uint8_t>
 encodeResponsePayload(const Response &resp)
 {
     std::vector<std::uint8_t> bytes;
-    ByteWriter w(bytes);
-    if (const auto *ro = std::get_if<RoSweepResult>(&resp)) {
-        w.u32(std::uint32_t(ro->frequenciesHz.size()));
-        for (double f : ro->frequenciesHz)
-            w.f64(f);
-    } else if (const auto *dp = std::get_if<DesignPointResult>(&resp)) {
-        put(w, dp->perf);
-    } else if (const auto *dse = std::get_if<DseShardResult>(&resp)) {
-        w.u32(std::uint32_t(dse->front.size()));
-        for (const DsePointWire &p : dse->front) {
-            put(w, p.config);
-            put(w, p.perf);
-        }
-    } else if (const auto *t = std::get_if<TortureResult>(&resp)) {
-        w.u64(t->cleanCycles);
-        w.u32(t->checkpoints);
-        w.f64(t->checkpointVolts);
-        w.u32(t->points);
-        w.u32(t->killed);
-        w.u32(t->killTears);
-        w.u32(t->coldRestarts);
-        w.u32(t->tornRestores);
-        w.u32(t->correct);
-        w.u32(t->incorrect);
-        w.u32(std::uint32_t(t->outcomeFlags.size()));
-        for (std::uint8_t f : t->outcomeFlags)
-            w.u8(f);
-        w.u32(std::uint32_t(t->results.size()));
-        for (std::uint32_t v : t->results)
-            w.u32(v);
-        w.u32(std::uint32_t(t->coverage.size()));
-        for (const TortureCoverageWire &c : t->coverage) {
-            w.u32(c.addr);
-            w.u8(c.cls);
-            w.u32(c.rank);
-            w.u32(c.points);
-            w.u32(c.killed);
-            w.u32(c.correct);
-            w.u32(c.incorrect);
-            w.u32(c.coldRestarts);
-            w.u32(c.killTears);
-        }
-    } else if (const auto *g = std::get_if<GuestRunResult>(&resp)) {
-        w.str(g->name);
-        w.u32(g->result);
-        w.u32(g->expected);
-        w.u8(g->correct);
-        w.u64(g->instructions);
-    } else if (const auto *l = std::get_if<LintImageResult>(&resp)) {
-        w.str(l->image);
-        w.u32(l->errors);
-        w.u32(l->warnings);
-        w.u32(l->notes);
-        w.u64(l->worstCaseCommitCycles);
-        w.u64(l->budgetCycles);
-        w.f64(l->staticEnergyBound);
-        w.f64(l->energyBudgetJoules);
-        w.str(l->reportJson);
-        w.str(l->pruningJson);
-    } else if (const auto *s = std::get_if<SwarmResult>(&resp)) {
-        put(w, s->agg);
-    } else if (const auto *e = std::get_if<ErrorResult>(&resp)) {
-        w.u16(std::uint16_t(e->code));
-        w.str(e->message);
-    }
+    std::visit(ByteWriter(bytes), resp);
     return bytes;
 }
 
@@ -861,125 +695,8 @@ bool
 decodeResponsePayload(MsgKind kind, const std::uint8_t *data,
                       std::size_t len, Response &out, std::string &err)
 {
-    ByteReader r(data, len);
-    switch (kind) {
-      case MsgKind::kRoSweepReply: {
-          RoSweepResult res;
-          const std::uint32_t n = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < n; ++i)
-              res.frequenciesHz.push_back(r.f64());
-          out = res;
-          break;
-      }
-      case MsgKind::kDesignPointReply: {
-          DesignPointResult res;
-          res.perf = getPerformance(r);
-          out = res;
-          break;
-      }
-      case MsgKind::kDseShardReply: {
-          DseShardResult res;
-          const std::uint32_t n = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < n; ++i) {
-              DsePointWire p;
-              p.config = getConfig(r);
-              p.perf = getPerformance(r);
-              res.front.push_back(std::move(p));
-          }
-          out = res;
-          break;
-      }
-      case MsgKind::kTortureReply: {
-          TortureResult res;
-          res.cleanCycles = r.u64();
-          res.checkpoints = r.u32();
-          res.checkpointVolts = r.f64();
-          res.points = r.u32();
-          res.killed = r.u32();
-          res.killTears = r.u32();
-          res.coldRestarts = r.u32();
-          res.tornRestores = r.u32();
-          res.correct = r.u32();
-          res.incorrect = r.u32();
-          const std::uint32_t nf = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < nf; ++i)
-              res.outcomeFlags.push_back(r.u8());
-          const std::uint32_t nr = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < nr; ++i)
-              res.results.push_back(r.u32());
-          const std::uint32_t nc = r.u32();
-          for (std::uint32_t i = 0; r.ok() && i < nc; ++i) {
-              TortureCoverageWire c;
-              c.addr = r.u32();
-              c.cls = r.u8();
-              c.rank = r.u32();
-              c.points = r.u32();
-              c.killed = r.u32();
-              c.correct = r.u32();
-              c.incorrect = r.u32();
-              c.coldRestarts = r.u32();
-              c.killTears = r.u32();
-              res.coverage.push_back(c);
-          }
-          out = res;
-          break;
-      }
-      case MsgKind::kGuestRunReply: {
-          GuestRunResult res;
-          res.name = r.str();
-          res.result = r.u32();
-          res.expected = r.u32();
-          res.correct = r.u8();
-          res.instructions = r.u64();
-          out = res;
-          break;
-      }
-      case MsgKind::kLintImageReply: {
-          LintImageResult res;
-          res.image = r.str();
-          res.errors = r.u32();
-          res.warnings = r.u32();
-          res.notes = r.u32();
-          res.worstCaseCommitCycles = r.u64();
-          res.budgetCycles = r.u64();
-          res.staticEnergyBound = r.f64();
-          res.energyBudgetJoules = r.f64();
-          res.reportJson = r.str();
-          res.pruningJson = r.str();
-          out = std::move(res);
-          break;
-      }
-      case MsgKind::kSwarmReply: {
-          SwarmResult res;
-          if (!getSwarmAggregates(r, res.agg, err)) {
-              if (err.empty())
-                  err = "truncated response payload";
-              return false;
-          }
-          out = std::move(res);
-          break;
-      }
-      case MsgKind::kErrorReply: {
-          ErrorResult res;
-          res.code = ErrorCode(r.u16());
-          res.message = r.str();
-          out = res;
-          break;
-      }
-      default:
-        err = "unknown response kind " +
-              std::to_string(unsigned(kind));
-        return false;
-    }
-    if (!r.ok()) {
-        err = "truncated response payload";
-        return false;
-    }
-    if (!r.atEnd()) {
-        err = "trailing bytes after response payload";
-        return false;
-    }
-    return true;
+    return decodeVariant(kind, &KindRow::reply, "response", data, len,
+                         out, err);
 }
 
 bool
@@ -1054,10 +771,7 @@ appendFrame(std::vector<std::uint8_t> &out, MsgKind kind,
             const std::uint8_t *payload, std::size_t len)
 {
     ByteWriter w(out);
-    w.u32(kWireMagic);
-    w.u16(kWireVersion);
-    w.u16(std::uint16_t(kind));
-    w.u32(std::uint32_t(len));
+    w(kWireMagic, kWireVersion, kind, std::uint32_t(len));
     out.insert(out.end(), payload, payload + len);
 }
 
@@ -1077,19 +791,19 @@ parseFrame(const std::uint8_t *data, std::size_t len, Frame &out,
     consumed = 0;
     if (len < kFrameHeaderSize)
         return FrameStatus::kNeedMore;
+    std::uint32_t magic = 0, payload_len = 0;
+    std::uint16_t version = 0;
+    MsgKind kind{};
     ByteReader r(data, len);
-    const std::uint32_t magic = r.u32();
+    r(magic, version, kind, payload_len);
     if (magic != kWireMagic)
         return FrameStatus::kBadMagic;
-    const std::uint16_t version = r.u16();
-    const std::uint16_t kind = r.u16();
-    const std::uint32_t payload_len = r.u32();
     if (payload_len > kMaxFramePayload)
         return FrameStatus::kOversized;
     if (len - kFrameHeaderSize < payload_len)
         return FrameStatus::kNeedMore;
     out.version = version;
-    out.kind = MsgKind(kind);
+    out.kind = kind;
     out.payload.assign(data + kFrameHeaderSize,
                        data + kFrameHeaderSize + payload_len);
     consumed = kFrameHeaderSize + payload_len;
@@ -1141,40 +855,6 @@ fromWire(const ConfigWire &w)
     cfg.dividerTotal = std::size_t(w.dividerTotal);
     cfg.strategy = calib::Strategy(w.strategy);
     return cfg;
-}
-
-PerformanceWire
-toWire(const core::Performance &perf)
-{
-    PerformanceWire w;
-    w.realizable = perf.realizable ? 1 : 0;
-    w.rejectReason = perf.rejectReason;
-    w.meanCurrent = perf.meanCurrent;
-    w.sampleRate = perf.sampleRate;
-    w.granularity = perf.granularity;
-    w.nvmBytes = perf.nvmBytes;
-    w.transistors = perf.transistors;
-    w.quantizationError = perf.quantizationError;
-    w.thermalError = perf.thermalError;
-    w.interpolationError = perf.interpolationError;
-    return w;
-}
-
-core::Performance
-fromWire(const PerformanceWire &w)
-{
-    core::Performance perf;
-    perf.realizable = w.realizable != 0;
-    perf.rejectReason = w.rejectReason;
-    perf.meanCurrent = w.meanCurrent;
-    perf.sampleRate = w.sampleRate;
-    perf.granularity = w.granularity;
-    perf.nvmBytes = std::size_t(w.nvmBytes);
-    perf.transistors = std::size_t(w.transistors);
-    perf.quantizationError = w.quantizationError;
-    perf.thermalError = w.thermalError;
-    perf.interpolationError = w.interpolationError;
-    return perf;
 }
 
 std::string

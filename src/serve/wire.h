@@ -18,6 +18,16 @@
  * a wrong magic or an oversized payload are rejected outright;
  * version-mismatched frames are consumed and answered with a typed
  * error response so old clients fail loudly instead of hanging.
+ *
+ * Each struct's field order is written exactly once, in its fields()
+ * list in wire.cc, which both the encoder and the decoder run. Adding
+ * a wire field means one entry in that list; adding a message kind
+ * means one variant alternative, its fields() list and one row of the
+ * kind table in wire.cc. Decoding fails closed: truncation, trailing
+ * bytes, non-0/1 bools and sketch geometry mismatches are typed
+ * errors, and no element count read off the wire sizes an allocation.
+ * test_serve pins the exact bytes of every kind; any change to them
+ * needs a kWireVersion bump.
  */
 
 #ifndef FS_SERVE_WIRE_H_
@@ -120,7 +130,11 @@ struct RoSweepResult {
     std::vector<double> frequenciesHz; ///< one per grid point
 };
 
-/** FsConfig on the wire (exact field transport, no re-derivation). */
+/**
+ * FsConfig on the wire (exact field transport, no re-derivation). Only
+ * the design-point fields travel; vMin, vMax, thermalErrorFraction,
+ * granularityBand and currentRefVoltage keep their FsConfig defaults.
+ */
 struct ConfigWire {
     std::uint64_t roStages = 21;
     double sampleRate = 1e3;
@@ -133,20 +147,6 @@ struct ConfigWire {
     std::uint8_t strategy = 2; ///< calib::Strategy
 };
 
-/** core::Performance on the wire. */
-struct PerformanceWire {
-    std::uint8_t realizable = 0;
-    std::string rejectReason;
-    double meanCurrent = 0.0;
-    double sampleRate = 0.0;
-    double granularity = 0.0;
-    std::uint64_t nvmBytes = 0;
-    std::uint64_t transistors = 0;
-    double quantizationError = 0.0;
-    double thermalError = 0.0;
-    double interpolationError = 0.0;
-};
-
 /** Evaluate one design point through the performance model. */
 struct DesignPointJob {
     std::string tech = "90nm";
@@ -154,7 +154,7 @@ struct DesignPointJob {
 };
 
 struct DesignPointResult {
-    PerformanceWire perf;
+    core::Performance perf;
 };
 
 /** One NSGA-II design-space exploration shard. */
@@ -169,7 +169,7 @@ struct DseShardJob {
 
 struct DsePointWire {
     ConfigWire config;
-    PerformanceWire perf;
+    core::Performance perf;
 };
 
 struct DseShardResult {
@@ -317,29 +317,6 @@ struct LintImageResult {
 };
 
 /**
- * One shard of a fleet-scale swarm simulation (src/swarm). Mirrors
- * swarm::SwarmConfig field for field; `firstDevice` must be aligned to
- * swarm::kSwarmBlock so the per-block Welford partials of any sharding
- * concatenate into exactly the blocks of the unsharded run.
- */
-struct SwarmJob {
-    std::uint64_t deviceCount = 100000;
-    std::uint64_t firstDevice = 0;
-    std::uint64_t spanDevices = 0; ///< 0 = through the end of the fleet
-    std::uint64_t seed = 1;
-    std::uint32_t profile = 1; ///< swarm::HarvestProfile
-    double traceSeconds = 600.0;
-    double segmentSeconds = 5.0;
-    double ckptPeriodS = 1.0;
-    double zThreshold = 4.0;
-    std::uint32_t warmup = 16;
-    std::uint32_t tripsToFlag = 2;
-    std::uint64_t anomalyEvery = 0;
-    double anomalyFactor = 0.25;
-    std::string traceCsv; ///< for HarvestProfile::kTraceCsv
-};
-
-/**
  * Swarm shard result: the streaming aggregates, transported exactly
  * (Welford raw moments per block, histogram counts, reservoir entries
  * in canonical priority order). Shards merge with mergeSwarmResult in
@@ -399,9 +376,15 @@ struct CacheInsertResult {
     std::uint8_t stored = 0; ///< 0 = rejected (invalid kind/payload)
 };
 
+/**
+ * A kSwarm request is one shard of a fleet-scale swarm simulation,
+ * carried as swarm::SwarmConfig itself. `firstDevice` must be aligned
+ * to swarm::kSwarmBlock so the per-block Welford partials of any
+ * sharding concatenate into exactly the blocks of the unsharded run.
+ */
 using Request = std::variant<RoSweepJob, DesignPointJob, DseShardJob,
                              TortureJob, GuestRunJob, LintImageJob,
-                             SwarmJob>;
+                             swarm::SwarmConfig>;
 using Response =
     std::variant<RoSweepResult, DesignPointResult, DseShardResult,
                  TortureResult, GuestRunResult, LintImageResult,
@@ -511,10 +494,6 @@ std::uint64_t requestKey(MsgKind kind,
 
 ConfigWire toWire(const core::FsConfig &cfg);
 core::FsConfig fromWire(const ConfigWire &w);
-PerformanceWire toWire(const core::Performance &perf);
-core::Performance fromWire(const PerformanceWire &w);
-SwarmJob toWire(const swarm::SwarmConfig &cfg);
-swarm::SwarmConfig fromWire(const SwarmJob &w);
 
 /** Human-readable workload name, e.g. "crc32-256". */
 std::string workloadName(const WorkloadSpec &spec);

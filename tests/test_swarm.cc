@@ -30,7 +30,6 @@ using serve::Engine;
 using serve::MsgKind;
 using serve::Request;
 using serve::Response;
-using serve::SwarmJob;
 using serve::SwarmResult;
 
 // --- timing monitor ---------------------------------------------------
@@ -295,12 +294,12 @@ TEST(Swarm, AnomalyCohortPrecision)
 
 TEST(SwarmWire, JobRoundTripsAndRejectsTruncation)
 {
-    SwarmJob job;
+    SwarmConfig job;
     job.deviceCount = 12345;
     job.firstDevice = kSwarmBlock;
     job.spanDevices = 4 * kSwarmBlock;
     job.seed = 77;
-    job.profile = 4;
+    job.profile = HarvestProfile::kTraceCsv;
     job.traceSeconds = 33.5;
     job.segmentSeconds = 2.5;
     job.ckptPeriodS = 0.75;
@@ -318,7 +317,7 @@ TEST(SwarmWire, JobRoundTripsAndRejectsTruncation)
     ASSERT_TRUE(serve::decodeRequestPayload(
         MsgKind::kSwarm, bytes.data(), bytes.size(), back, err))
         << err;
-    const auto *dj = std::get_if<SwarmJob>(&back);
+    const auto *dj = std::get_if<SwarmConfig>(&back);
     ASSERT_NE(dj, nullptr);
     EXPECT_EQ(dj->deviceCount, job.deviceCount);
     EXPECT_EQ(dj->firstDevice, job.firstDevice);
@@ -373,7 +372,7 @@ TEST(SwarmWire, ResultRoundTripsAndRejectsTruncation)
 
 TEST(SwarmWire, EngineExecutesAndShardsMergeByteIdentically)
 {
-    SwarmJob whole;
+    SwarmConfig whole;
     whole.deviceCount = 3 * kSwarmBlock + 50;
     whole.seed = 9;
     whole.traceSeconds = 90.0;
@@ -387,7 +386,7 @@ TEST(SwarmWire, EngineExecutesAndShardsMergeByteIdentically)
     SwarmResult merged;
     std::uint64_t first = 0;
     for (int s = 0; s < 2; ++s) {
-        SwarmJob shard = whole;
+        SwarmConfig shard = whole;
         shard.firstDevice = first;
         shard.spanDevices = s == 0 ? 2 * kSwarmBlock : 0;
         const Response part = engine.execute(Request{shard});
@@ -404,7 +403,7 @@ TEST(SwarmWire, EngineExecutesAndShardsMergeByteIdentically)
 
 TEST(SwarmWire, EngineRejectsInvalidJob)
 {
-    SwarmJob job;
+    SwarmConfig job;
     job.deviceCount = 0;
     Engine engine(Engine::Options{1, 1u << 20, ""});
     const Response resp = engine.execute(Request{job});

@@ -126,7 +126,7 @@ printConfig(const char *prefix, const ConfigWire &c)
 }
 
 void
-printPerf(const char *prefix, const PerformanceWire &p)
+printPerf(const char *prefix, const fs::core::Performance &p)
 {
     std::printf("%srealizable=%u\n", prefix, unsigned(p.realizable));
     std::printf("%sreject_reason=%s\n", prefix,
@@ -453,7 +453,7 @@ runCampaign(const TortureJob &base, std::uint64_t shards,
  * aggregate_digest line lets CI diff.
  */
 int
-runSwarm(const SwarmJob &base, std::uint64_t shards,
+runSwarm(const fs::swarm::SwarmConfig &base, std::uint64_t shards,
          const std::string &endpoint, bool local, std::size_t threads,
          const std::string &audit_path)
 {
@@ -465,14 +465,14 @@ runSwarm(const SwarmJob &base, std::uint64_t shards,
     if (shards > total_blocks)
         shards = total_blocks;
 
-    std::vector<SwarmJob> jobs;
+    std::vector<fs::swarm::SwarmConfig> jobs;
     jobs.reserve(std::size_t(shards));
     std::uint64_t block0 = 0;
     for (std::uint64_t s = 0; s < shards; ++s) {
         const std::uint64_t nblocks =
             total_blocks / shards +
             (s < total_blocks % shards ? 1 : 0);
-        SwarmJob shard = base;
+        fs::swarm::SwarmConfig shard = base;
         shard.firstDevice = block0 * block;
         // The last shard runs through the fleet end (its span is not
         // necessarily block-aligned).
@@ -495,7 +495,7 @@ runSwarm(const SwarmJob &base, std::uint64_t shards,
             "FS_SWARM_AUDIT_EVERY", 1000, 1, 1'000'000'000);
         fs::swarm::AuditWriter audit(audit_path);
         for (std::size_t s = 0; s < jobs.size(); ++s) {
-            const fs::swarm::SwarmConfig cfg = fromWire(jobs[s]);
+            const fs::swarm::SwarmConfig &cfg = jobs[s];
             const std::string reason =
                 fs::swarm::validateConfig(cfg);
             if (!reason.empty()) {
@@ -770,19 +770,20 @@ main(int argc, char **argv)
         job.code = image->code;
         req = std::move(job);
     } else if (job_name == "swarm") {
-        SwarmJob job;
+        using fs::swarm::HarvestProfile;
+        fs::swarm::SwarmConfig job;
         optU("--devices", job.deviceCount);
         optU("--seed", job.seed);
         std::string profile;
         if (opt("--profile", profile)) {
             if (profile == "night")
-                job.profile = 0;
+                job.profile = HarvestProfile::kNight;
             else if (profile == "office")
-                job.profile = 1;
+                job.profile = HarvestProfile::kOffice;
             else if (profile == "diurnal")
-                job.profile = 2;
+                job.profile = HarvestProfile::kDiurnal;
             else if (profile == "rf")
-                job.profile = 3;
+                job.profile = HarvestProfile::kRf;
             else
                 return usage();
         }
@@ -800,7 +801,7 @@ main(int argc, char **argv)
             while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
                 job.traceCsv.append(buf, n);
             std::fclose(f);
-            job.profile = 4; // HarvestProfile::kTraceCsv
+            job.profile = HarvestProfile::kTraceCsv;
         }
         optD("--trace-seconds", job.traceSeconds);
         optD("--segment-seconds", job.segmentSeconds);
