@@ -13,7 +13,6 @@
 #include "riscv/encoding.h"
 #include "soc/soc.h"
 #include "util/env.h"
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -43,6 +42,22 @@ quickSeq(soc::Soc &s)
                                           4));
     }
     return best;
+}
+
+/** Slot forensics at the instant power died. */
+void
+inspectSlots(const soc::Soc &sys, TortureOutcome &out)
+{
+    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
+        const auto info = soc::inspectCheckpointSlot(
+            sys.fram().data(), sys.layout(), slot);
+        if (info.valid()) {
+            ++out.validSlots;
+            out.newestSeq = std::max(out.newestSeq, info.seq);
+        } else if (info.magicOk) {
+            ++out.tornSlots;
+        }
+    }
 }
 
 bool
@@ -233,16 +248,7 @@ TortureRig::runKill(const PowerKill &kill) const
 
     out.killed = sys.faultKilled();
     out.killTore = injector.log().killTears > 0;
-    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
-        const auto info = soc::inspectCheckpointSlot(
-            sys.fram().data(), sys.layout(), slot);
-        if (info.valid()) {
-            ++out.validSlots;
-            out.newestSeq = std::max(out.newestSeq, info.seq);
-        } else if (info.magicOk) {
-            ++out.tornSlots;
-        }
-    }
+    inspectSlots(sys, out);
 
     if (out.killed) {
         out.coldRestart = out.validSlots == 0;
@@ -433,7 +439,7 @@ TortureRig::runKillForked(const PowerKill &kill)
         sys.powerOn();
     }
 
-    TortureOutcome out = finishOutcome(*bench, injector, &snap.state);
+    TortureOutcome out = finishOutcome(*bench, injector, snap.state);
     sys.setFaultInjector(nullptr);
     releaseBench(std::move(bench));
     return out;
@@ -441,22 +447,13 @@ TortureRig::runKillForked(const PowerKill &kill)
 
 TortureOutcome
 TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
-                          const soc::Snapshot *memo_base)
+                          const soc::Snapshot &fork)
 {
     soc::Soc &sys = *bench.soc;
     TortureOutcome out;
     out.killed = sys.faultKilled();
     out.killTore = injector.log().killTears > 0;
-    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
-        const auto info = soc::inspectCheckpointSlot(
-            sys.fram().data(), sys.layout(), slot);
-        if (info.valid()) {
-            ++out.validSlots;
-            out.newestSeq = std::max(out.newestSeq, info.seq);
-        } else if (info.magicOk) {
-            ++out.tornSlots;
-        }
-    }
+    inspectSlots(sys, out);
 
     if (!out.killed) {
         out.finished = sys.appFinished();
@@ -471,25 +468,37 @@ TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
         // state and recovery runs on stable power, so the recovery
         // verdict is a pure function of the FRAM image at death
         // (runKillsPruned()'s documented invariant). Serve repeats
-        // from the memo; the byte-exact image comparison makes a
-        // hash collision degrade to a miss, never a wrong verdict.
-        const std::uint64_t key = util::hashImage64(sys.fram().data());
+        // from the memo. FRAM still equals the fork snapshot outside
+        // the pages the replay dirtied, so keying, verifying and
+        // capturing the death image touch only those pages; the
+        // byte-exact check makes a key collision degrade to a miss,
+        // never a wrong verdict.
+        FS_ASSERT(sys.framDirtyTracked(),
+                  "forked FRAM changed behind the write filter");
+        const std::vector<std::uint8_t> &fram =
+            std::as_const(sys).fram().data();
+        const soc::DirtyPages &dirty = sys.framDirtyPages();
+        const std::uint64_t key =
+            soc::PagedImage::keyOf(fram, fork.fram, dirty);
+        const RecoveryMemo *cached = nullptr;
         {
             std::lock_guard<std::mutex> lock(memo_mu_);
             const auto it = memo_.find(key);
-            if (it != memo_.end() &&
-                it->second.image.equals(sys.fram().data())) {
-                ++memo_hits_;
-                out.finished = it->second.finished;
-                out.result = it->second.result;
-                out.resultCorrect =
-                    out.finished && out.result == prog_.expected;
-                return out;
-            }
+            if (it != memo_.end())
+                cached = &it->second;
+        }
+        // Entries are immutable and never erased, and map nodes do not
+        // move, so the check can run outside the lock.
+        if (cached && cached->image.matches(fram, fork.fram, dirty)) {
+            memo_hits_.fetch_add(1, std::memory_order_relaxed);
+            out.finished = cached->finished;
+            out.result = cached->result;
+            out.resultCorrect =
+                out.finished && out.result == prog_.expected;
+            return out;
         }
         RecoveryMemo memo;
-        memo.image.capture(sys.fram().data(),
-                           memo_base ? &memo_base->fram : nullptr);
+        memo.image.captureDirty(fram, fork.fram, dirty);
         *bench.volts = config_.stableVolts;
         sys.powerOn();
         sys.run(config_.recoveryCycles);
@@ -540,7 +549,7 @@ TortureRig::convergeStats() const
     st.goldenSnapshots = snapshots_.size();
     std::lock_guard<std::mutex> lock(memo_mu_);
     st.memoEntries = memo_.size();
-    st.memoHits = memo_hits_;
+    st.memoHits = memo_hits_.load(std::memory_order_relaxed);
     return st;
 }
 

@@ -21,16 +21,24 @@
  * death (power loss wipes all volatile state and recovery runs on
  * stable power, so the recovery outcome is a pure function of that
  * image -- the same invariant runKillsPruned() already rests on; a
- * byte-exact image comparison guards every memo hit, so hash
+ * byte-exact image comparison guards every memo hit, so key
  * collisions cannot leak a wrong verdict). Verdicts are bit-identical
  * to replay-from-boot at any thread count; FS_NO_SNAPSHOT=1 forces
  * the legacy from-boot replay and FS_SNAPSHOT_STRIDE overrides the
  * capture stride (0 also disables forking).
+ *
+ * A forked kill costs O(FRAM pages its replay wrote), not O(FRAM):
+ * benches are recycled SoCs whose delta restore copies only pages
+ * that differ from what they hold and keeps translated code; the
+ * death image's memo key is the fork snapshot's key corrected for the
+ * dirty pages; and the memo check compares only pages that are dirty
+ * or not shared with the fork snapshot (see soc/snapshot.h).
  */
 
 #ifndef FS_FAULT_TORTURE_RIG_H_
 #define FS_FAULT_TORTURE_RIG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -232,9 +240,10 @@ class TortureRig
         std::uint64_t spentInPhase = 0;
     };
 
-    /** Memoized recovery verdict for one FRAM image at death. */
+    /** Memoized recovery verdict for one FRAM image at death, keyed
+     *  by image.key(). */
     struct RecoveryMemo {
-        soc::PagedImage image; ///< byte-compared on every hit
+        soc::PagedImage image; ///< byte-verified on every hit
         bool finished = false;
         std::uint32_t result = 0;
     };
@@ -251,7 +260,7 @@ class TortureRig
                    util::ThreadPool *pool);
     TortureOutcome runKillForked(const PowerKill &kill);
     TortureOutcome finishOutcome(Bench &bench, FaultInjector &injector,
-                                 const soc::Snapshot *memo_base);
+                                 const soc::Snapshot &fork);
 
     std::unique_ptr<core::FailureSentinels> monitor_;
     soc::GuestProgram prog_;
@@ -271,10 +280,11 @@ class TortureRig
     bool converge_on_ = true;
     mutable std::mutex memo_mu_;
     std::unordered_map<std::uint64_t, RecoveryMemo> memo_;
-    std::size_t memo_hits_ = 0;
+    std::atomic<std::size_t> memo_hits_{0};
 
-    /** Recycled SoCs: restoreSnapshot overwrites every byte of state,
-     *  so a reused bench is indistinguishable from a fresh build(). */
+    /** Recycled SoCs: restoreSnapshot leaves every byte of state equal
+     *  to the snapshot, so a reused bench is indistinguishable from a
+     *  fresh build() -- and its restores are deltas. */
     std::mutex bench_mu_;
     std::vector<std::unique_ptr<Bench>> bench_pool_;
 };

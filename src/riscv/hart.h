@@ -83,9 +83,12 @@ class Hart
     /**
      * The complete architectural state: everything execution depends
      * on besides memory contents. Cached/translated blocks (trace
-     * cache, DBT) are deliberately excluded -- they are derived state;
-     * a caller that restores memory alongside an ArchState must flush
-     * them via invalidateTraceCache().
+     * cache, DBT) are deliberately excluded -- they are derived state,
+     * valid for as long as the code bytes they were decoded from. A
+     * caller that restores memory alongside an ArchState must call
+     * invalidateCode() on every range whose bytes it rewrote (or
+     * invalidateTraceCache() to drop everything); blocks over bytes
+     * it left alone stay valid.
      */
     struct ArchState {
         std::array<std::uint32_t, 32> regs{};
@@ -171,6 +174,17 @@ class Hart
         trace_.flush();
         dbt_.flush();
     }
+    /** Drop the cached/translated blocks of any tier whose code extent
+     *  overlaps [addr, addr+bytes) (call after rewriting that range
+     *  behind the hart's back). */
+    void
+    invalidateCode(std::uint32_t addr, unsigned bytes)
+    {
+        if (trace_.overlapsCode(addr, bytes))
+            trace_.flush();
+        if (dbt_.overlapsCode(addr, bytes))
+            dbt_.flush();
+    }
     const TraceCache &traceCache() const { return trace_; }
 
     // --- DBT tier control ---
@@ -183,7 +197,12 @@ class Hart
     const DbtCache &dbtCache() const { return dbt_; }
     DbtCache &dbtCache() { return dbt_; }
 
-    /** Power failure: all volatile architectural state decays. */
+    /**
+     * Power failure: all volatile architectural state decays. Cached
+     * blocks are derived from memory, not architectural state, so they
+     * survive; whoever owns a code memory that decays must call
+     * invalidateCode() over it.
+     */
     void powerFail();
 
     /** Cold-boot reset to the given pc; regs and CSRs cleared. */
@@ -195,7 +214,7 @@ class Hart
     /**
      * Restore a captured architectural state. Does not touch the
      * trace/DBT caches: callers that also restore memory must follow
-     * up with invalidateTraceCache().
+     * up with invalidateCode() over the bytes they rewrote.
      */
     void restoreArch(const ArchState &state);
 

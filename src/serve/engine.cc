@@ -232,17 +232,18 @@ Engine::executeTorture(const TortureJob &job) const
         if (count > 100'000)
             return badRequest("shard too large (> 1e5 points); split "
                               "the range");
-        kills.reserve(std::size_t(count));
-        for (std::uint64_t i = job.pointOffset;
-             i < job.pointOffset + count; ++i) {
+        // Each kill is a pure function of (seed, i), so deriving them
+        // in parallel is bit-identical to the serial loop.
+        kills.resize(std::size_t(count));
+        pool().parallelFor(kills.size(), [&](std::size_t k) {
+            const std::uint64_t i = job.pointOffset + k;
             Rng rng = util::rngForIndex(job.seed, i);
-            fault::PowerKill kill;
+            fault::PowerKill &kill = kills[k];
             kill.cycle = i * span / job.exhaustivePoints;
             kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
             kill.tearFlipMask =
                 std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
-            kills.push_back(kill);
-        }
+        });
     } else {
         // All RNG draws happen sequentially here, before the fan-out,
         // in a fixed order -- the same discipline bench_fault_torture

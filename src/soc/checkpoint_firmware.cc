@@ -13,31 +13,44 @@ using namespace riscv; // encoding helpers and register names
 
 namespace {
 
-/** Reflected CRC-32 table (polynomial 0xEDB88320). */
-const std::array<std::uint32_t, 256> &
-crcTable()
+/**
+ * Reflected CRC-32 tables (polynomial 0xEDB88320) for slice-by-8:
+ * [0] is the classic byte table the firmware uses; [k][i] is [k-1][i]
+ * advanced by one more zero byte.
+ */
+const std::array<std::array<std::uint32_t, 256>, 8> &
+crcTables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const auto tables = [] {
+        std::array<std::array<std::uint32_t, 256>, 8> t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t crc = i;
             for (int bit = 0; bit < 8; ++bit)
                 crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-            t[i] = crc;
+            t[0][i] = crc;
+        }
+        for (std::size_t k = 1; k < t.size(); ++k) {
+            for (std::size_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
         }
         return t;
     }();
-    return table;
+    return tables;
+}
+
+/** Little-endian 32-bit word at @p p, assembled byte by byte. */
+std::uint32_t
+le32(const std::uint8_t *p)
+{
+    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 std::uint32_t
 readWord(const std::vector<std::uint8_t> &fram, std::uint32_t offset)
 {
     FS_ASSERT(offset + 4 <= fram.size(), "slot word outside FRAM");
-    return std::uint32_t(fram[offset]) |
-           std::uint32_t(fram[offset + 1]) << 8 |
-           std::uint32_t(fram[offset + 2]) << 16 |
-           std::uint32_t(fram[offset + 3]) << 24;
+    return le32(fram.data() + offset);
 }
 
 } // namespace
@@ -45,10 +58,21 @@ readWord(const std::vector<std::uint8_t> &fram, std::uint32_t offset)
 std::uint32_t
 checkpointCrc32(const std::uint8_t *data, std::size_t len)
 {
-    const auto &table = crcTable();
+    const auto &t = crcTables();
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xffu];
+    std::size_t i = 0;
+    // Slice-by-8: eight bytes per step. Words are assembled from bytes,
+    // so any host byte order and any alignment give the same CRC.
+    for (; i + 8 <= len; i += 8) {
+        const std::uint32_t lo = crc ^ le32(data + i);
+        const std::uint32_t hi = le32(data + i + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; i < len; ++i)
+        crc = (crc >> 8) ^ t[0][(crc ^ data[i]) & 0xffu];
     return crc; // no final inversion: must match the firmware loop
 }
 
@@ -56,7 +80,7 @@ std::vector<std::uint8_t>
 packedCrcTable()
 {
     std::vector<std::uint8_t> packed(kCrcTableBytes);
-    const auto &table = crcTable();
+    const auto &table = crcTables()[0];
     for (std::size_t i = 0; i < table.size(); ++i) {
         packed[4 * i + 0] = std::uint8_t(table[i]);
         packed[4 * i + 1] = std::uint8_t(table[i] >> 8);

@@ -1,37 +1,102 @@
 #include "soc/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace fs {
 namespace soc {
+
+namespace {
+
+using Page = PagedImage::Page;
+
+/** Page @p p's contribution to an image key: order-aware via mixing
+ *  in the index, so swapping two pages changes the key. */
+std::uint64_t
+keyTerm(std::uint64_t page_hash, std::size_t p)
+{
+    return util::mixSeed(page_hash, p);
+}
+
+std::shared_ptr<const Page>
+makePage(const std::uint8_t *bytes, std::size_t len)
+{
+    auto page = std::make_shared<Page>();
+    std::memcpy(page->bytes.data(), bytes, len);
+    page->len = std::uint32_t(len);
+    page->hash = util::hashImage64(bytes, len);
+    return page;
+}
+
+bool
+sameBytes(const Page &page, const std::uint8_t *bytes)
+{
+    return std::memcmp(page.data(), bytes, page.size()) == 0;
+}
+
+} // namespace
+
+void
+DirtyPages::reset(std::size_t pages)
+{
+    flags_.assign(pages, 0);
+    list_.clear();
+}
+
+void
+DirtyPages::clear()
+{
+    for (const std::uint32_t p : list_)
+        flags_[p] = 0;
+    list_.clear();
+}
 
 void
 PagedImage::capture(const std::vector<std::uint8_t> &mem,
                     const PagedImage *prev)
 {
+    const bool share = prev && prev->size_ == mem.size();
     size_ = mem.size();
     const std::size_t n = (size_ + kPageBytes - 1) / kPageBytes;
     pages_.clear();
     pages_.reserve(n);
-    const bool share = prev && prev->size_ == size_;
+    key_ = share ? prev->key_ : 0;
     for (std::size_t p = 0; p < n; ++p) {
-        const std::size_t off = p * kPageBytes;
-        const std::size_t len = std::min(kPageBytes, size_ - off);
+        const std::uint8_t *bytes = mem.data() + p * kPageBytes;
         if (share) {
             const auto &old = prev->pages_[p];
-            if (old->size() == len &&
-                std::memcmp(old->data(), mem.data() + off, len) == 0) {
+            if (sameBytes(*old, bytes)) {
                 pages_.push_back(old);
                 continue;
             }
+            key_ -= keyTerm(old->hash, p);
         }
-        pages_.push_back(std::make_shared<const Page>(
-            mem.begin() + std::ptrdiff_t(off),
-            mem.begin() + std::ptrdiff_t(off + len)));
+        pages_.push_back(
+            makePage(bytes, std::min(kPageBytes, size_ - p * kPageBytes)));
+        key_ += keyTerm(pages_.back()->hash, p);
+    }
+}
+
+void
+PagedImage::captureDirty(const std::vector<std::uint8_t> &mem,
+                         const PagedImage &base, const DirtyPages &dirty)
+{
+    FS_ASSERT(mem.size() == base.size_, "snapshot image size mismatch");
+    size_ = base.size_;
+    key_ = base.key_;
+    pages_ = base.pages_;
+    for (const std::uint32_t p : dirty.list()) {
+        const std::uint8_t *bytes = mem.data() + p * kPageBytes;
+        const auto &old = base.pages_[p];
+        if (sameBytes(*old, bytes))
+            continue;
+        pages_[p] = makePage(bytes, old->size());
+        key_ += keyTerm(pages_[p]->hash, p) - keyTerm(old->hash, p);
     }
 }
 
@@ -44,26 +109,36 @@ PagedImage::restore(std::vector<std::uint8_t> &mem) const
                     pages_[p]->size());
 }
 
-bool
-PagedImage::equals(const std::vector<std::uint8_t> &mem) const
+std::uint64_t
+PagedImage::keyOf(const std::vector<std::uint8_t> &mem,
+                  const PagedImage &base, const DirtyPages &dirty)
 {
-    if (mem.size() != size_)
+    FS_ASSERT(mem.size() == base.size_, "snapshot image size mismatch");
+    std::uint64_t key = base.key_;
+    for (const std::uint32_t p : dirty.list()) {
+        const Page &old = *base.pages_[p];
+        const std::uint64_t hash =
+            util::hashImage64(mem.data() + p * kPageBytes, old.size());
+        key += keyTerm(hash, p) - keyTerm(old.hash, p);
+    }
+    return key;
+}
+
+bool
+PagedImage::matches(const std::vector<std::uint8_t> &mem,
+                    const PagedImage &base, const DirtyPages &dirty) const
+{
+    if (mem.size() != size_ || base.size_ != size_)
         return false;
     for (std::size_t p = 0; p < pages_.size(); ++p) {
-        if (std::memcmp(mem.data() + p * kPageBytes,
-                        pages_[p]->data(), pages_[p]->size()) != 0)
+        // A clean page of mem holds base's bytes; a page this image
+        // shares with base holds them too (pages are immutable).
+        if (pages_[p] == base.pages_[p] && !dirty.contains(p))
+            continue;
+        if (!sameBytes(*pages_[p], mem.data() + p * kPageBytes))
             return false;
     }
     return true;
-}
-
-std::uint64_t
-PagedImage::hash() const
-{
-    std::uint64_t h = util::kFnvOffsetBasis;
-    for (const auto &page : pages_)
-        h = util::fnv1a64(page->data(), page->size(), h);
-    return h;
 }
 
 std::size_t

@@ -16,11 +16,19 @@
  * snapshots a torture campaign keeps alive cost roughly one full
  * image plus the per-snapshot deltas (a commit window rewrites ~5
  * pages of a 512-page FRAM).
+ *
+ * Forking is O(dirty pages), not O(image): each page carries its
+ * content hash, computed once when the page is created, and an
+ * image's key is an order-aware sum of per-page terms. A SoC that
+ * restored image B and then dirtied a few pages (DirtyPages) can key,
+ * verify and capture its memory against B by touching only those
+ * pages -- every page it did not write still equals B's page.
  */
 
 #ifndef FS_SOC_SNAPSHOT_H_
 #define FS_SOC_SNAPSHOT_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,29 +40,99 @@ namespace fs {
 namespace soc {
 
 /**
+ * Indices of the pages written since some reference point, each listed
+ * once: O(1) mark and test, O(marked) clear.
+ */
+class DirtyPages
+{
+  public:
+    /** Track @p pages pages, all clean. */
+    void reset(std::size_t pages);
+
+    void
+    mark(std::size_t page)
+    {
+        if (!flags_[page]) {
+            flags_[page] = 1;
+            list_.push_back(std::uint32_t(page));
+        }
+    }
+
+    bool contains(std::size_t page) const { return flags_[page] != 0; }
+    const std::vector<std::uint32_t> &list() const { return list_; }
+
+    /** Make every page clean again. */
+    void clear();
+
+  private:
+    std::vector<std::uint8_t> flags_;
+    std::vector<std::uint32_t> list_;
+};
+
+/**
  * A byte image stored as fixed-size pages behind shared pointers.
  * capture() against a previous image shares every page whose bytes
  * are unchanged; only differing pages allocate. Sharing is detected
  * by comparison at capture time (not dirty bits), so direct data()
- * mutations -- image staging, tears -- can never be missed.
+ * mutations -- image staging, tears -- can never be missed. Pages are
+ * immutable once built, so two images holding the same page pointer
+ * hold the same bytes there.
  */
 class PagedImage
 {
   public:
     static constexpr std::size_t kPageBytes = 256;
 
+    /** One immutable page plus its content hash. */
+    struct Page {
+        std::array<std::uint8_t, kPageBytes> bytes{};
+        std::uint32_t len = 0;  ///< valid bytes (short only at the end)
+        std::uint64_t hash = 0; ///< content hash of the valid bytes
+
+        const std::uint8_t *data() const { return bytes.data(); }
+        std::size_t size() const { return len; }
+    };
+
     /** Snapshot @p mem, sharing unchanged pages with @p prev. */
     void capture(const std::vector<std::uint8_t> &mem,
                  const PagedImage *prev);
 
+    /**
+     * Snapshot @p mem, which equals @p base outside the pages in
+     * @p dirty: O(dirty pages). Pages are shared with @p base exactly
+     * where capture(mem, &base) would share them.
+     */
+    void captureDirty(const std::vector<std::uint8_t> &mem,
+                      const PagedImage &base, const DirtyPages &dirty);
+
     /** Write the image back into @p mem (sizes must match). */
     void restore(std::vector<std::uint8_t> &mem) const;
 
-    /** Byte-exact comparison against a live memory. */
-    bool equals(const std::vector<std::uint8_t> &mem) const;
+    /**
+     * Content key: the wrapping sum over pages of a term mixing the
+     * page's hash with its index. Equal images have equal keys; a key
+     * is only a hash, so every use must back it with a byte-exact
+     * comparison.
+     */
+    std::uint64_t key() const { return key_; }
 
-    /** FNV-1a over the full image contents. */
-    std::uint64_t hash() const;
+    /**
+     * The key() capture(mem, nullptr) would produce, for @p mem that
+     * equals @p base outside the pages in @p dirty: @p base's key
+     * corrected for the dirty pages only.
+     */
+    static std::uint64_t keyOf(const std::vector<std::uint8_t> &mem,
+                               const PagedImage &base,
+                               const DirtyPages &dirty);
+
+    /**
+     * Byte-exact equality with @p mem, which equals @p base outside
+     * the pages in @p dirty. A clean page this image shares with
+     * @p base (same pointer) is equal without a compare; every other
+     * page is compared byte for byte.
+     */
+    bool matches(const std::vector<std::uint8_t> &mem,
+                 const PagedImage &base, const DirtyPages &dirty) const;
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -62,7 +140,6 @@ class PagedImage
     /** Number of pages NOT shared with @p prev (test observability). */
     std::size_t pagesOwnedVs(const PagedImage &prev) const;
 
-    using Page = std::vector<std::uint8_t>;
     const std::vector<std::shared_ptr<const Page>> &pages() const
     {
         return pages_;
@@ -70,6 +147,7 @@ class PagedImage
 
   private:
     std::size_t size_ = 0;
+    std::uint64_t key_ = 0;
     std::vector<std::shared_ptr<const Page>> pages_;
 };
 

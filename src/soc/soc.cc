@@ -1,6 +1,7 @@
 #include "soc/soc.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "fault/fault_injector.h"
@@ -39,17 +40,31 @@ Soc::setFaultInjector(fault::FaultInjector *injector)
 {
     injector_ = injector;
     fs_.setFaultInjector(injector);
-    if (injector) {
-        fram_.setWriteFilter(
-            [injector](std::uint32_t addr, std::uint32_t value,
-                       unsigned bytes, unsigned &kept,
-                       std::uint32_t &flip) {
-                return injector->filterWrite(addr, value, bytes, kept,
-                                             flip);
-            });
-    } else {
+    armFramFilter();
+}
+
+void
+Soc::armFramFilter()
+{
+    // Plain runs (no injector, never restored) install no filter and
+    // pay nothing per store.
+    if (!injector_ && fram_base_.empty()) {
         fram_.setWriteFilter(nullptr);
+        return;
     }
+    // The filter sees every FRAM store, and a tear only ever rewrites
+    // bytes of the store it follows, so marking here misses nothing.
+    fram_.setWriteFilter([this](std::uint32_t addr, std::uint32_t value,
+                                unsigned bytes, unsigned &kept,
+                                std::uint32_t &flip) {
+        const std::size_t last =
+            (std::size_t(addr) + bytes - 1) / PagedImage::kPageBytes;
+        for (std::size_t p = addr / PagedImage::kPageBytes;
+             p <= last && p < fram_base_.size(); ++p)
+            fram_dirty_.mark(p);
+        return injector_ &&
+               injector_->filterWrite(addr, value, bytes, kept, flip);
+    });
 }
 
 void
@@ -104,6 +119,9 @@ Soc::powerFail()
 {
     sram_.powerFail();
     hart_.powerFail();
+    // Blocks decoded from SRAM just lost their bytes; blocks over FRAM
+    // code stay valid across the outage.
+    hart_.invalidateCode(layout_.sramBase, layout_.sramSize);
     fs_.powerFail();
 }
 
@@ -229,8 +247,9 @@ void
 Soc::restoreSnapshot(const Snapshot &snap)
 {
     hart_.restoreArch(snap.hart);
-    snap.fram.restore(fram_.data());
+    restoreFram(snap.fram);
     snap.sram.restore(sram_.data());
+    hart_.invalidateCode(layout_.sramBase, layout_.sramSize);
     fs_.restoreState(snap.peripheral);
     fram_.restoreWriteState(snap.framWrites, snap.framBytesWritten);
     sram_.restoreWriteCount(snap.sramWrites);
@@ -238,9 +257,41 @@ Soc::restoreSnapshot(const Snapshot &snap)
     power_cycles_ = snap.powerCycles;
     app_finished_ = snap.appFinished;
     fault_killed_ = snap.faultKilled;
-    // Trace/DBT blocks were decoded from the pre-restore memory
-    // image; they must not survive the contents changing under them.
-    hart_.invalidateTraceCache();
+}
+
+bool
+Soc::framDirtyTracked() const
+{
+    return !fram_base_.empty() && fram_.rawEpoch() == fram_base_epoch_;
+}
+
+void
+Soc::restoreFram(const PagedImage &image)
+{
+    const auto &pages = image.pages();
+    FS_ASSERT(image.size() == fram_.size(),
+              "snapshot FRAM size mismatch");
+    if (!framDirtyTracked()) {
+        // First restore, or FRAM changed behind the filter's back:
+        // nothing in it is known, so copy every page.
+        fram_base_.assign(pages.size(), nullptr);
+        fram_dirty_.reset(pages.size());
+    }
+    std::uint8_t *mem = fram_.data().data();
+    for (std::size_t p = 0; p < pages.size(); ++p) {
+        const bool moved = fram_base_[p] != pages[p];
+        if (!moved && !fram_dirty_.contains(p))
+            continue; // FRAM still holds exactly this page's bytes
+        const std::uint32_t off = std::uint32_t(p * PagedImage::kPageBytes);
+        std::memcpy(mem + off, pages[p]->data(), pages[p]->size());
+        hart_.invalidateCode(layout_.framBase + off,
+                             unsigned(pages[p]->size()));
+        if (moved)
+            fram_base_[p] = pages[p];
+    }
+    fram_dirty_.clear();
+    fram_base_epoch_ = fram_.rawEpoch();
+    armFramFilter();
 }
 
 } // namespace soc

@@ -44,6 +44,7 @@ class Soc
 
     riscv::Hart &hart() { return hart_; }
     Nvm &fram() { return fram_; }
+    const Nvm &fram() const { return fram_; }
     riscv::Ram &sram() { return sram_; }
     FsPeripheral &fsPeripheral() { return fs_; }
     Bus &bus() { return bus_; }
@@ -125,13 +126,33 @@ class Soc
     /**
      * Restore a captured state into this SoC (same layout required).
      * Every byte of architectural, memory, peripheral, and counter
-     * state is overwritten, so restoring into a recycled SoC is
-     * indistinguishable from restoring into a fresh one. Flushes the
-     * hart's trace/DBT caches: memory contents changed under any
-     * cached blocks. Fault-injector attachment is wiring, not state --
-     * attach the injector for the forked run separately.
+     * state ends up equal to the snapshot, so restoring into a
+     * recycled SoC is indistinguishable from restoring into a fresh
+     * one. Fault-injector attachment is wiring, not state -- attach
+     * the injector for the forked run separately.
+     *
+     * FRAM is restored by delta: a page is copied only if it was
+     * written since the previous restore (framDirtyPages()) or its
+     * page differs by pointer from the one the previous restore left
+     * there. Any direct mutation since then (a mutable data() call,
+     * image loads) forces a full copy instead. SRAM is copied in
+     * full. The hart's trace/DBT blocks survive unless a copied range
+     * overlaps their code. The restore base holds its own references
+     * to the pages, so @p snap may be destroyed afterwards.
      */
     void restoreSnapshot(const Snapshot &snap);
+
+    /**
+     * FRAM pages (PagedImage::kPageBytes units) written since the last
+     * restoreSnapshot(), recorded by the FRAM write filter that the
+     * restore keeps armed. Until the next restore or direct mutation,
+     * FRAM equals the restored image outside these pages.
+     */
+    const DirtyPages &framDirtyPages() const { return fram_dirty_; }
+
+    /** True when framDirtyPages() is exact: a snapshot was restored
+     *  and FRAM saw no direct mutation since. */
+    bool framDirtyTracked() const;
 
   private:
     /**
@@ -143,6 +164,11 @@ class Soc
      * exact kill/tear/latch timing.
      */
     std::uint64_t eventHorizon() const;
+
+    /** (Re)install the FRAM write filter: it feeds the injector's
+     *  tears and, once a snapshot was restored, the dirty pages. */
+    void armFramFilter();
+    void restoreFram(const PagedImage &image);
 
     CheckpointLayout layout_;
     double clock_hz_;
@@ -158,6 +184,13 @@ class Soc
     bool app_finished_ = false;
     std::uint64_t total_cycles_ = 0;
     std::uint64_t power_cycles_ = 0;
+
+    /** Pages of the image the last restore left in FRAM (empty before
+     *  the first restore), and fram_.rawEpoch() as that restore left
+     *  it. Owning references: the snapshot itself may be gone. */
+    std::vector<std::shared_ptr<const PagedImage::Page>> fram_base_;
+    std::uint64_t fram_base_epoch_ = 0;
+    DirtyPages fram_dirty_;
 };
 
 } // namespace soc

@@ -44,11 +44,11 @@ fnv1a64(const std::vector<std::uint8_t> &bytes,
 }
 
 /**
- * Bulk image hash: FNV-1a mixing over 8-byte words with a byte-wise
- * tail, ~8x the throughput of the canonical byte stream on large
- * images. NOT the same digest as fnv1a64() -- use it only for hashes
- * that never leave the process (memo keys, dedup tables) and are
- * backed by a byte-exact comparison.
+ * Bulk hash: FNV-1a mixing over 8-byte words with a byte-wise tail,
+ * ~8x the throughput of the canonical byte stream. NOT the same digest
+ * as fnv1a64() -- use it only for hashes that never leave the process
+ * (snapshot page hashes, memo keys) and are backed by a byte-exact
+ * comparison.
  */
 inline std::uint64_t
 hashImage64(const void *data, std::size_t len,
@@ -68,14 +68,6 @@ hashImage64(const void *data, std::size_t len,
         h *= kFnvPrime;
     }
     return h;
-}
-
-/** Convenience overload for byte vectors (memory images). */
-inline std::uint64_t
-hashImage64(const std::vector<std::uint8_t> &bytes,
-            std::uint64_t seed = kFnvOffsetBasis)
-{
-    return hashImage64(bytes.data(), bytes.size(), seed);
 }
 
 } // namespace util

@@ -98,6 +98,10 @@ ThreadPool::parallelFor(std::size_t n,
             body(i);
         return;
     }
+    // External callers serialise here for the whole job: the slot
+    // (body_, n_, next_, pending_workers_) belongs to one call at a
+    // time.
+    std::lock_guard<std::mutex> job(job_mu_);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         body_ = &body;

@@ -30,9 +30,17 @@ namespace fs {
 namespace util {
 
 /**
- * A persistent pool of worker threads. One job (a parallelFor) runs at
- * a time; the calling thread participates in the work, so a pool with
- * threadCount() == 1 has no workers and runs everything inline.
+ * A persistent pool of worker threads. The calling thread participates
+ * in the work, so a pool with threadCount() == 1 has no workers and
+ * runs everything inline.
+ *
+ * Concurrency contract: one job (a parallelFor) runs at a time. Any
+ * number of external threads may call parallelFor/parallelMap on the
+ * same pool concurrently; each call holds the pool's job lock for its
+ * whole fan-out, so callers serialise and never share a job slot.
+ * Calls from inside a pool body -- on this pool or any other -- run
+ * inline on the calling thread and never take the lock, so nesting
+ * cannot deadlock.
  */
 class ThreadPool
 {
@@ -92,6 +100,10 @@ class ThreadPool
 
     std::size_t thread_count_ = 1;
     std::vector<std::thread> workers_;
+
+    /** Held by an external caller for its whole fan-out: one job at a
+     *  time owns the slot below. */
+    std::mutex job_mu_;
 
     std::mutex mutex_;
     std::condition_variable cv_work_;

@@ -112,6 +112,42 @@ TEST(ThreadPool, NestedCallsRunInline)
         EXPECT_EQ(out[std::size_t(i)], i);
 }
 
+TEST(ThreadPool, ConcurrentExternalCallersGetTheirOwnJobs)
+{
+    // Several threads outside the pool fan out on it at once, each
+    // with its own job size and body. The pool serialises them, so
+    // every caller sees exactly its own results, bit for bit.
+    util::ThreadPool pool(4);
+    constexpr std::size_t kCallers = 6;
+    constexpr int kRounds = 200;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int r = 0; r < kRounds; ++r) {
+                const std::size_t n = 50 + 37 * c + std::size_t(r);
+                const std::uint64_t seed = c * 1000 + std::uint64_t(r);
+                const auto got = pool.parallelMap(n, [&](std::size_t i) {
+                    return util::mixSeed(seed, i);
+                });
+                std::vector<std::uint64_t> sums(n, 0);
+                pool.parallelFor(n, [&](std::size_t i) {
+                    sums[i] = got[i] ^ std::uint64_t(i);
+                });
+                bool ok = got.size() == n;
+                for (std::size_t i = 0; ok && i < n; ++i)
+                    ok = got[i] == util::mixSeed(seed, i) &&
+                         sums[i] == (got[i] ^ std::uint64_t(i));
+                if (!ok)
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(PerIndexRng, StreamsAreStableAndDecorrelated)
 {
     // Same (seed, index) -> same stream, at any thread count, because

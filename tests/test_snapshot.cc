@@ -11,15 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/firmware_linter.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/torture_rig.h"
 #include "harvest/intermittent_sim.h"
 #include "harvest/system_comparison.h"
+#include "riscv/assembler.h"
 #include "serve/engine.h"
 #include "serve/wire.h"
 #include "soc/guest_programs.h"
@@ -73,7 +78,6 @@ TEST(PagedImage, RoundTripSharingAndDistinctBytes)
     soc::PagedImage a;
     a.capture(mem, nullptr);
     EXPECT_EQ(a.size(), mem.size());
-    EXPECT_TRUE(a.equals(mem));
     std::vector<std::uint8_t> out(mem.size());
     a.restore(out);
     EXPECT_EQ(out, mem);
@@ -84,9 +88,9 @@ TEST(PagedImage, RoundTripSharingAndDistinctBytes)
     soc::PagedImage b;
     b.capture(mem, &a);
     EXPECT_EQ(b.pagesOwnedVs(a), 1u);
-    EXPECT_FALSE(a.equals(mem));
-    EXPECT_TRUE(b.equals(mem));
-    EXPECT_NE(a.hash(), b.hash());
+    b.restore(out);
+    EXPECT_EQ(out, mem);
+    EXPECT_NE(a.key(), b.key());
 
     // Shared pages are counted once in the memory high-water.
     EXPECT_EQ(soc::distinctPageBytes({&a, &b}),
@@ -96,7 +100,87 @@ TEST(PagedImage, RoundTripSharingAndDistinctBytes)
     soc::PagedImage c;
     c.capture(mem, &b);
     EXPECT_EQ(c.pagesOwnedVs(b), 0u);
-    EXPECT_EQ(c.hash(), b.hash());
+    EXPECT_EQ(c.key(), b.key());
+}
+
+/** Deterministic xorshift64 stream for the randomized image tests. */
+struct XorShift {
+    std::uint64_t x;
+    std::uint64_t
+    next()
+    {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    }
+};
+
+TEST(PagedImage, IncrementalKeyEqualsRecomputedKey)
+{
+    // A short final page exercises the partial-page path.
+    constexpr std::size_t kSize = 64 * soc::PagedImage::kPageBytes + 100;
+    constexpr std::size_t kPages = 65;
+    XorShift rng{0x9E3779B97F4A7C15ull};
+    std::vector<std::uint8_t> base_mem(kSize);
+    for (std::uint8_t &b : base_mem)
+        b = std::uint8_t(rng.next());
+    soc::PagedImage base;
+    base.capture(base_mem, nullptr);
+
+    soc::DirtyPages dirty;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<std::uint8_t> mem = base_mem;
+        dirty.reset(kPages);
+        const std::size_t writes = rng.next() % 12;
+        for (std::size_t w = 0; w < writes; ++w) {
+            const std::size_t addr = rng.next() % kSize;
+            dirty.mark(addr / soc::PagedImage::kPageBytes);
+            // Every fourth write stores the byte already there: a
+            // dirty page whose bytes did not change.
+            if (w % 4 != 3)
+                mem[addr] = std::uint8_t(rng.next());
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        soc::PagedImage fresh;
+        fresh.capture(mem, nullptr);
+        EXPECT_EQ(soc::PagedImage::keyOf(mem, base, dirty),
+                  fresh.key());
+
+        // captureDirty shares exactly the pages capture() shares.
+        soc::PagedImage full, delta;
+        full.capture(mem, &base);
+        delta.captureDirty(mem, base, dirty);
+        EXPECT_EQ(delta.key(), fresh.key());
+        EXPECT_EQ(full.key(), fresh.key());
+        ASSERT_EQ(delta.pages().size(), full.pages().size());
+        for (std::size_t p = 0; p < kPages; ++p) {
+            EXPECT_EQ(delta.pages()[p] == base.pages()[p],
+                      full.pages()[p] == base.pages()[p])
+                << "page " << p;
+        }
+        EXPECT_TRUE(delta.matches(mem, base, dirty));
+        EXPECT_TRUE(fresh.matches(mem, base, dirty));
+
+        // One more real change on a dirty page: the old images must
+        // no longer match, pointer sharing or not.
+        if (!dirty.list().empty()) {
+            const std::size_t p = dirty.list().front();
+            mem[p * soc::PagedImage::kPageBytes] ^= 0x5a;
+            EXPECT_FALSE(delta.matches(mem, base, dirty));
+            EXPECT_FALSE(fresh.matches(mem, base, dirty));
+        }
+    }
+
+    // The key is order-aware: swapping two pages changes it.
+    std::vector<std::uint8_t> swapped = base_mem;
+    std::swap_ranges(swapped.begin(),
+                     swapped.begin() + soc::PagedImage::kPageBytes,
+                     swapped.begin() + soc::PagedImage::kPageBytes);
+    soc::PagedImage sw;
+    sw.capture(swapped, nullptr);
+    EXPECT_NE(sw.key(), base.key());
 }
 
 // ---------------------------------------------------------------------
@@ -130,14 +214,20 @@ makeBench()
     return b;
 }
 
+/** FRAM contents through a const view (not a direct mutation). */
+const std::vector<std::uint8_t> &
+framBytes(const soc::Soc &sys)
+{
+    return sys.fram().data();
+}
+
 /** Everything a run leaves behind, folded into one hash. */
 std::uint64_t
 fingerprint(soc::Soc &sys)
 {
-    std::uint64_t h = util::fnv1a64(sys.fram().data().data(),
-                                    sys.fram().data().size());
-    h = util::fnv1a64(sys.sram().data().data(),
-                      sys.sram().data().size(), h);
+    const riscv::Ram &sram = sys.sram();
+    std::uint64_t h = util::fnv1a64(framBytes(sys));
+    h = util::fnv1a64(sram.data(), h);
     const std::uint64_t cyc = sys.totalCycles();
     h = util::fnv1a64(&cyc, sizeof cyc, h);
     const std::uint32_t pc = sys.hart().pc();
@@ -223,6 +313,291 @@ TEST(SocSnapshot, RestoredSocSurvivesPowerFailLikeTheOriginal)
     b.soc->run(60'000'000);
     EXPECT_EQ(fingerprint(*b.soc), want);
     EXPECT_EQ(b.soc->guestResult(prog), a.soc->guestResult(prog));
+}
+
+/** The bytes @p image holds. */
+std::vector<std::uint8_t>
+imageBytes(const soc::PagedImage &image)
+{
+    std::vector<std::uint8_t> out(image.size());
+    image.restore(out);
+    return out;
+}
+
+/** Snapshots of a fault-free run of @p prog at the given cycles,
+ *  chained copy-on-write like a golden pass. */
+std::vector<soc::Snapshot>
+goldenSnapshots(const soc::GuestProgram &prog,
+                std::initializer_list<std::uint64_t> cycles)
+{
+    SocBench b = makeBench();
+    b.soc->loadGuest(prog);
+    b.soc->powerOn();
+    std::vector<soc::Snapshot> snaps;
+    for (const std::uint64_t at : cycles) {
+        while (b.soc->totalCycles() < at && !b.soc->appFinished())
+            b.soc->step();
+        snaps.push_back(b.soc->saveSnapshot(
+            snaps.empty() ? nullptr : &snaps.back()));
+    }
+    return snaps;
+}
+
+TEST(SocSnapshot, DeltaRestoreMatchesFullRestoreAcrossForkChains)
+{
+    // FRAM read-modify-write every iteration: forks dirty real pages.
+    const soc::GuestProgram prog = soc::makeNvmAccumulateProgram(256, 32);
+    for (const Tier &tier : kTiers) {
+        SCOPED_TRACE(tier.name);
+        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
+        EnvGuard dbt("FS_NO_DBT", tier.noDbt);
+
+        const std::vector<soc::Snapshot> snaps =
+            goldenSnapshots(prog, {2'000, 9'000, 20'000, 35'000});
+        SocBench delta = makeBench();
+        SocBench full = makeBench();
+        for (std::size_t round = 0; round < 10; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            const soc::Snapshot &snap = snaps[(round * 3 + 1) % 4];
+            full.soc->fram().data(); // a direct mutation: full copy
+            full.soc->restoreSnapshot(snap);
+            delta.soc->restoreSnapshot(snap);
+            const std::vector<std::uint8_t> want = imageBytes(snap.fram);
+            ASSERT_EQ(framBytes(*full.soc), want);
+            ASSERT_EQ(framBytes(*delta.soc), want);
+            ASSERT_TRUE(delta.soc->framDirtyTracked());
+            EXPECT_TRUE(delta.soc->framDirtyPages().list().empty());
+            EXPECT_EQ(fingerprint(*delta.soc), fingerprint(*full.soc));
+
+            // Stores, a standalone tear and a tearing kill, identically
+            // on both SoCs.
+            fault::FaultPlan plan;
+            plan.tears.push_back(fault::WriteTear{
+                round * 7 + 3, unsigned(round % 4), 0x00FF00FFu});
+            plan.kills.push_back(fault::PowerKill{
+                snap.totalCycles + 4'000 + 911 * round,
+                unsigned((round + 1) % 4), 0xA5A5A5A5u});
+            for (SocBench *b : {&delta, &full}) {
+                fault::FaultInjector injector(plan);
+                b->soc->setFaultInjector(&injector);
+                b->soc->run(30'000);
+                b->soc->setFaultInjector(nullptr);
+                EXPECT_EQ(injector.log().standaloneTears, 1u);
+            }
+            EXPECT_FALSE(delta.soc->framDirtyPages().list().empty());
+            EXPECT_EQ(fingerprint(*delta.soc), fingerprint(*full.soc));
+        }
+
+        // The chain ends by resuming the first fork point to the end.
+        for (SocBench *b : {&delta, &full}) {
+            b->soc->restoreSnapshot(snaps.front());
+            b->soc->run(60'000'000);
+            ASSERT_TRUE(b->soc->appFinished());
+        }
+        EXPECT_EQ(fingerprint(*delta.soc), fingerprint(*full.soc));
+        EXPECT_EQ(delta.soc->guestResult(prog), prog.expected);
+    }
+}
+
+TEST(SocSnapshot, RestoreKeepsTranslationsOfUntouchedCode)
+{
+    EnvGuard trace("FS_NO_TRACE_CACHE", nullptr);
+    EnvGuard dbt("FS_NO_DBT", nullptr);
+    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
+    const std::vector<soc::Snapshot> snaps =
+        goldenSnapshots(prog, {15'000});
+    SocBench b = makeBench();
+    b.soc->restoreSnapshot(snaps[0]);
+    b.soc->run(20'000); // decode and translate the hot loop
+    ASSERT_FALSE(b.soc->appFinished());
+    const std::uint64_t flushes = b.soc->hart().traceCache().flushes();
+    ASSERT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+
+    // Only data pages changed since the last restore: the blocks stay.
+    b.soc->restoreSnapshot(snaps[0]);
+    EXPECT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+    EXPECT_EQ(b.soc->hart().traceCache().flushes(), flushes);
+    b.soc->run(60'000'000);
+    ASSERT_TRUE(b.soc->appFinished());
+    EXPECT_EQ(b.soc->guestResult(prog), prog.expected);
+}
+
+TEST(SocSnapshot, PowerFailKeepsFramBlocksAndDropsSramBlocks)
+{
+    EnvGuard trace("FS_NO_TRACE_CACHE", nullptr);
+    EnvGuard dbt("FS_NO_DBT", nullptr);
+    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
+    SocBench b = makeBench();
+    b.soc->loadGuest(prog);
+    b.soc->powerOn();
+    b.soc->run(20'000);
+    ASSERT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+    b.soc->powerFail();
+    EXPECT_GT(b.soc->hart().traceCache().blockCount(), 0u)
+        << "FRAM code survives an outage; its blocks should too";
+
+    // Code in SRAM decays with it, and so must its blocks.
+    using namespace riscv;
+    b.soc->sram().loadWords(
+        0, {addi(kA0, kZero, 42), addi(kA0, kA0, 1), ecall()});
+    b.soc->powerOn();
+    b.soc->hart().setPc(b.soc->layout().sramBase);
+    b.soc->run(100);
+    ASSERT_TRUE(b.soc->appFinished());
+    ASSERT_EQ(b.soc->hart().reg(kA0), 43u);
+    ASSERT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+    b.soc->powerFail();
+    EXPECT_EQ(b.soc->hart().traceCache().blockCount(), 0u);
+}
+
+/** Iterations of selfPatchingProgram() before its patch lands. */
+constexpr std::int32_t kPatchAt = 2'000;
+
+/**
+ * A loop that patches one of its own instructions mid-run: iterations
+ * before kPatchAt add 1 to the result, the rest add 7. @p patch_addr
+ * receives the patched instruction's address.
+ */
+soc::GuestProgram
+selfPatchingProgram(std::uint32_t &patch_addr)
+{
+    constexpr std::int32_t kIters = 3'000;
+    using namespace riscv;
+    soc::GuestProgram prog;
+    prog.name = "self-patch";
+    prog.dataAddr = soc::kGuestDataAddr;
+    prog.resultAddr = soc::kGuestResultAddr;
+    prog.expected = std::uint32_t(kPatchAt + (kIters - kPatchAt) * 7);
+
+    Assembler as(soc::CheckpointLayout{}.appBase);
+    const auto loop = as.newLabel();
+    const auto patch = as.newLabel();
+    const auto done = as.newLabel();
+    as.li(kT0, 0);
+    as.li(kT1, kIters);
+    as.li(kA2, 0);
+    as.li(kT4, std::int32_t(addi(kA2, kA2, 7)));
+    as.li(kT5, kPatchAt);
+    const std::uint32_t anchor = as.here();
+    as.emit(auipc(kT3, 0));
+    as.emit(addi(kT3, kT3, 20)); // t3 = &patch (checked below)
+    as.bind(loop);
+    as.bgeuTo(kT0, kT1, done);
+    as.bneTo(kT0, kT5, patch);
+    as.emit(sw(kT4, kT3, 0));
+    as.bind(patch);
+    as.emit(addi(kA2, kA2, 1));
+    as.emit(addi(kT0, kT0, 1));
+    as.jTo(loop);
+    as.bind(done);
+    as.li(kT0, std::int32_t(prog.resultAddr));
+    as.emit(sw(kA2, kT0, 0));
+    as.emit(jalr(kZero, kRa, 0));
+    prog.code = as.finalize();
+    patch_addr = as.labelAddress(patch);
+    EXPECT_EQ(patch_addr, anchor + 20);
+    return prog;
+}
+
+TEST(SocSnapshot, StoreIntoCachedCodeBetweenRestoresForcesRedecode)
+{
+    std::uint32_t patch_addr = 0;
+    const soc::GuestProgram prog = selfPatchingProgram(patch_addr);
+    for (const Tier &tier : kTiers) {
+        SCOPED_TRACE(tier.name);
+        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
+        EnvGuard dbt("FS_NO_DBT", tier.noDbt);
+
+        // Fork point: well into the loop (hot, translated), before the
+        // patch lands.
+        const std::vector<soc::Snapshot> snaps =
+            goldenSnapshots(prog, {10'000});
+        const std::uint32_t off =
+            patch_addr - soc::CheckpointLayout{}.framBase;
+        const std::vector<std::uint8_t> image = imageBytes(snaps[0].fram);
+        ASSERT_EQ(std::uint32_t(image[off]) |
+                      std::uint32_t(image[off + 1]) << 8 |
+                      std::uint32_t(image[off + 2]) << 16 |
+                      std::uint32_t(image[off + 3]) << 24,
+                  riscv::addi(riscv::kA2, riscv::kA2, 1))
+            << "the fork point must precede the patch";
+        ASSERT_GT(snaps[0].hart.regs[riscv::kT0], 100u)
+            << "the fork point must be inside the hot loop";
+        SocBench fresh = makeBench();
+        fresh.soc->restoreSnapshot(snaps[0]);
+        fresh.soc->run(60'000'000);
+        ASSERT_TRUE(fresh.soc->appFinished());
+        ASSERT_EQ(fresh.soc->guestResult(prog), prog.expected);
+        const std::uint64_t want = fingerprint(*fresh.soc);
+
+        // Each round's run patches the code page and caches blocks of
+        // the patched loop; the next delta restore must copy the page
+        // back and drop those blocks.
+        SocBench recycled = makeBench();
+        for (int round = 0; round < 3; ++round) {
+            recycled.soc->restoreSnapshot(snaps[0]);
+            recycled.soc->run(60'000'000);
+            ASSERT_TRUE(recycled.soc->appFinished());
+            EXPECT_EQ(recycled.soc->guestResult(prog), prog.expected)
+                << "round " << round;
+            EXPECT_EQ(fingerprint(*recycled.soc), want)
+                << "round " << round;
+        }
+    }
+}
+
+TEST(SocSnapshot, RestoreAfterDirectDataWriteFallsBackToFullCopy)
+{
+    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
+    const std::vector<soc::Snapshot> snaps =
+        goldenSnapshots(prog, {15'000});
+    SocBench b = makeBench();
+    b.soc->restoreSnapshot(snaps[0]);
+    b.soc->run(5'000);
+    ASSERT_TRUE(b.soc->framDirtyTracked());
+
+    // Bytes no store wrote: the write filter never saw these.
+    const std::uint32_t data = prog.dataAddr - b.soc->layout().framBase;
+    b.soc->fram().data()[data] ^= 0xff;
+    b.soc->fram().data()[data + 700] ^= 0x0f;
+    EXPECT_FALSE(b.soc->framDirtyTracked());
+
+    b.soc->restoreSnapshot(snaps[0]);
+    EXPECT_TRUE(b.soc->framDirtyTracked());
+    EXPECT_EQ(framBytes(*b.soc), imageBytes(snaps[0].fram));
+    b.soc->run(60'000'000);
+    ASSERT_TRUE(b.soc->appFinished());
+    EXPECT_EQ(b.soc->guestResult(prog), prog.expected);
+}
+
+TEST(SocSnapshot, RestoreAfterThePreviousSnapshotWasDestroyed)
+{
+    const soc::GuestProgram prog = soc::makeNvmAccumulateProgram(256, 32);
+    SocBench b = makeBench();
+    std::vector<std::uint8_t> want;
+    std::uint64_t want_print = 0;
+    {
+        // Capture S1 and S2 from their own run, fork S1, then destroy
+        // both: only the SoC's own references keep S1's pages alive.
+        auto snaps = std::make_unique<std::vector<soc::Snapshot>>(
+            goldenSnapshots(prog, {3'000, 20'000}));
+        b.soc->restoreSnapshot((*snaps)[0]);
+        b.soc->run(8'000);
+        snaps.reset();
+    }
+    // Fresh snapshots: new page allocations may reuse freed addresses.
+    const std::vector<soc::Snapshot> again =
+        goldenSnapshots(prog, {3'000, 20'000});
+    want = imageBytes(again[1].fram);
+    SocBench ref = makeBench();
+    ref.soc->restoreSnapshot(again[1]);
+    ref.soc->run(60'000'000);
+    want_print = fingerprint(*ref.soc);
+
+    b.soc->restoreSnapshot(again[1]);
+    EXPECT_EQ(framBytes(*b.soc), want);
+    b.soc->run(60'000'000);
+    EXPECT_EQ(fingerprint(*b.soc), want_print);
 }
 
 // ---------------------------------------------------------------------

@@ -239,6 +239,42 @@ TEST(CheckpointFirmware, HostCrcMatchesKnownProperties)
     EXPECT_NE(checkpointCrc32(tweaked, 9), crc);
 }
 
+TEST(CheckpointFirmware, SlicedCrcMatchesTheFirmwareByteLoop)
+{
+    // Reference: the byte-at-a-time loop the firmware runs, over the
+    // packed little-endian table it reads from FRAM.
+    const std::vector<std::uint8_t> packed = packedCrcTable();
+    const auto reference = [&](const std::uint8_t *p, std::size_t n) {
+        std::uint32_t crc = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t e = 4 * ((crc ^ p[i]) & 0xffu);
+            const std::uint32_t entry =
+                std::uint32_t(packed[e]) |
+                std::uint32_t(packed[e + 1]) << 8 |
+                std::uint32_t(packed[e + 2]) << 16 |
+                std::uint32_t(packed[e + 3]) << 24;
+            crc = (crc >> 8) ^ entry;
+        }
+        return crc;
+    };
+    std::vector<std::uint8_t> buf(2100 + 8);
+    std::uint64_t x = 0x243F6A8885A308D3ull;
+    for (std::uint8_t &b : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = std::uint8_t(x);
+    }
+    // Every length 0..2100 at every start offset mod 8, so the sliced
+    // body meets every alignment and every tail length.
+    for (std::size_t len = 0; len <= 2100; ++len) {
+        const std::size_t start = len % 8;
+        ASSERT_EQ(checkpointCrc32(buf.data() + start, len),
+                  reference(buf.data() + start, len))
+            << "len=" << len << " start=" << start;
+    }
+}
+
 TEST(CheckpointFirmware, RejectsOversizedSram)
 {
     CheckpointLayout layout;
