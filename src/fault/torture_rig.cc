@@ -66,99 +66,94 @@ snapshotsDisabledByEnv()
     return util::envFlag("FS_NO_SNAPSHOT");
 }
 
-std::uint64_t
-snapshotStrideFor(const TortureConfig &config)
+/**
+ * The low-power monitor every torture SoC samples, enrolled once per
+ * process: Soc takes it by const& and only calls its const queries,
+ * so all rigs and their benches share it across threads.
+ */
+const core::FailureSentinels &
+sharedMonitor()
 {
-    // 0 is a valid stride (snapshot every checkpoint), so garbage must
-    // fall back to the config default, not parse to 0 silently.
-    return util::envU64("FS_SNAPSHOT_STRIDE", config.snapshotStride, 0,
-                        1u << 30);
+    static const std::unique_ptr<core::FailureSentinels> monitor =
+        harvest::makeFsLowPower();
+    return *monitor;
 }
 
 } // namespace
 
-struct TortureRig::Bench {
+const char *
+goldenErrorMessage(GoldenError error)
+{
+    switch (error) {
+      case GoldenError::kNone:
+        return "ok";
+      case GoldenError::kNoCheckpoint:
+        return "brown-out phase never committed a checkpoint";
+      case GoldenError::kNeverFinished:
+        return "fault-free torture schedule never finished the app";
+      case GoldenError::kWrongAnswer:
+        return "fault-free torture schedule got a wrong answer";
+    }
+    return "unknown golden-run error";
+}
+
+std::uint64_t
+resolvedSnapshotStride(const TortureConfig &config)
+{
+    // 0 is a valid stride (no stride captures), so garbage must fall
+    // back to the config default, not parse to 0 silently.
+    return util::envU64("FS_SNAPSHOT_STRIDE", config.snapshotStride, 0,
+                        1u << 30);
+}
+
+struct TortureBench {
     std::shared_ptr<double> volts = std::make_shared<double>(0.0);
     std::unique_ptr<soc::Soc> soc;
 };
 
-TortureRig::TortureRig(soc::GuestProgram prog, TortureConfig config)
-    : monitor_(harvest::makeFsLowPower()), prog_(std::move(prog)),
-      config_(config)
-{
-    // Same threshold recipe as the integration fixtures: enough
-    // headroom above the core minimum to finish a commit at full
-    // load, padded by the monitor's resolution.
-    harvest::SystemLoad load;
-    const double capacitance = harvest::ScenarioParams{}.capacitance;
-    v_ckpt_ = load.coreVmin() +
-              load.activeCurrentWith(*monitor_) *
-                  config_.headroomSeconds / capacitance +
-              monitor_->resolution();
-    threshold_ = monitor_->countThresholdFor(v_ckpt_);
-}
+namespace {
 
-TortureRig::~TortureRig() = default;
-
-std::unique_ptr<TortureRig::Bench>
-TortureRig::build() const
+std::unique_ptr<TortureBench>
+makeBench(const GoldenRun &g)
 {
-    auto bench = std::make_unique<Bench>();
+    auto bench = std::make_unique<TortureBench>();
     soc::CheckpointLayout layout;
-    layout.sramSize = config_.sramSize;
+    layout.sramSize = g.config.sramSize;
     bench->soc = std::make_unique<soc::Soc>(
-        *monitor_, [v = bench->volts](double) { return *v; }, layout);
-    bench->soc->loadRuntime(threshold_);
-    bench->soc->loadGuest(prog_);
+        sharedMonitor(), [v = bench->volts](double) { return *v; },
+        layout);
+    bench->soc->loadRuntime(g.threshold);
+    bench->soc->loadGuest(g.prog);
     return bench;
 }
 
-std::unique_ptr<TortureRig::Bench>
-TortureRig::acquireBench()
+/**
+ * The instrumented fault-free pass: maps each checkpoint's commit
+ * window and the clean-run length, or says why the schedule cannot
+ * anchor a campaign.
+ */
+GoldenError
+instrument(GoldenRun &g)
 {
-    {
-        std::lock_guard<std::mutex> lock(bench_mu_);
-        if (!bench_pool_.empty()) {
-            auto bench = std::move(bench_pool_.back());
-            bench_pool_.pop_back();
-            return bench;
-        }
-    }
-    return build();
-}
-
-void
-TortureRig::releaseBench(std::unique_ptr<Bench> bench)
-{
-    std::lock_guard<std::mutex> lock(bench_mu_);
-    bench_pool_.push_back(std::move(bench));
-}
-
-void
-TortureRig::instrument()
-{
-    if (instrumented_)
-        return;
-    instrumented_ = true;
-
-    auto bench = build();
+    const TortureConfig &config = g.config;
+    auto bench = makeBench(g);
     soc::Soc &sys = *bench->soc;
     std::uint32_t last_seq = 0;
     sys.powerOn();
-    for (std::size_t cycle = 0; cycle < config_.maxPowerCycles; ++cycle) {
-        *bench->volts = config_.stableVolts;
-        sys.run(config_.stableCycles);
+    for (std::size_t cycle = 0; cycle < config.maxPowerCycles; ++cycle) {
+        *bench->volts = config.stableVolts;
+        sys.run(config.stableCycles);
         if (sys.appFinished())
             break;
         // Brown-out phase, stepped one instruction at a time so the
         // trap entry and the commit store land on exact cycle counts.
         // The full budget is always consumed (the handler parks in
         // wfi after committing) so kill runs stay cycle-aligned.
-        *bench->volts = v_ckpt_ - 0.02;
+        *bench->volts = g.vCkpt - 0.02;
         bool saw_trap = false;
         CommitWindow window;
         std::uint64_t spent = 0;
-        while (spent < config_.lowCycles && !sys.hart().halted()) {
+        while (spent < config.lowCycles && !sys.hart().halted()) {
             const std::uint64_t before = sys.totalCycles();
             sys.step();
             spent += sys.totalCycles() - before;
@@ -174,57 +169,198 @@ TortureRig::instrument()
                     // commit (the last position tears the magic).
                     window.end = sys.totalCycles() + 1;
                     last_seq = seq;
-                    windows_.push_back(window);
+                    g.windows.push_back(window);
                 }
             }
         }
         if (sys.appFinished())
             break;
-        FS_ASSERT(window.end != 0,
-                  "brown-out phase never committed a checkpoint");
+        if (window.end == 0)
+            return GoldenError::kNoCheckpoint;
         sys.powerFail();
         sys.powerOn();
     }
-    FS_ASSERT(sys.appFinished(),
-              "fault-free torture schedule never finished the app");
-    FS_ASSERT(sys.guestResult(prog_) == prog_.expected,
-              "fault-free torture schedule got a wrong answer");
-    clean_cycles_ = sys.totalCycles();
+    if (!sys.appFinished())
+        return GoldenError::kNeverFinished;
+    if (sys.guestResult(g.prog) != g.prog.expected)
+        return GoldenError::kWrongAnswer;
+    g.cleanCycles = sys.totalCycles();
+    return GoldenError::kNone;
 }
 
-std::uint64_t
-TortureRig::cleanRunCycles()
+/**
+ * The golden pass: replay runKill()'s exact schedule with no injector,
+ * one step at a time (run() is documented bit-identical to the step
+ * loop), so probeSteps[i] is precisely the i-th instruction every kill
+ * run executes before its kill fires, and every snapshot lands on an
+ * instruction boundary the kill runs also cross.
+ */
+void
+goldenPass(GoldenRun &g)
 {
-    instrument();
-    return clean_cycles_;
+    const TortureConfig &config = g.config;
+    auto bench = makeBench(g);
+    soc::Soc &sys = *bench->soc;
+
+    // Capture targets in total-cycle coordinates: boot, every commit
+    // window boundary, and a fixed stride across the whole run.
+    std::vector<std::uint64_t> targets{0};
+    for (const CommitWindow &w : g.windows) {
+        targets.push_back(w.begin);
+        targets.push_back(w.end);
+    }
+    if (config.snapshotStride > 0)
+        for (std::uint64_t c = config.snapshotStride; c < g.cleanCycles;
+             c += config.snapshotStride)
+            targets.push_back(c);
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()),
+                  targets.end());
+    g.snapshots.reserve(targets.size());
+    std::size_t next_target = 0;
+
+    const auto maybe_capture = [&](std::size_t power_cycle, int phase_id,
+                                   std::uint64_t spent) {
+        if (next_target >= targets.size() ||
+            sys.totalCycles() < targets[next_target])
+            return;
+        while (next_target < targets.size() &&
+               targets[next_target] <= sys.totalCycles())
+            ++next_target;
+        GoldenRun::Snapshot snap;
+        snap.state = sys.saveSnapshot(
+            g.snapshots.empty() ? nullptr : &g.snapshots.back().state);
+        snap.powerCycle = power_cycle;
+        snap.phase = phase_id;
+        snap.spentInPhase = spent;
+        g.snapshots.push_back(std::move(snap));
+    };
+
+    const auto phase = [&](std::size_t power_cycle, int phase_id,
+                           std::uint64_t budget) {
+        std::uint64_t spent = 0;
+        while (!sys.hart().halted() && spent < budget) {
+            GoldenRun::ProbeStep rec;
+            rec.pcBefore = sys.hart().pc();
+            const std::uint64_t before = sys.totalCycles();
+            const std::uint64_t writes = sys.fram().writeCount();
+            sys.step();
+            spent += sys.totalCycles() - before;
+            rec.cycleAfter = sys.totalCycles();
+            rec.wrote = sys.fram().writeCount() != writes;
+            rec.bytesWritten = sys.fram().bytesWritten();
+            rec.finished = sys.appFinished();
+            g.probeSteps.push_back(rec);
+            maybe_capture(power_cycle, phase_id, spent);
+        }
+    };
+    sys.powerOn();
+    maybe_capture(0, 0, 0); // boot snapshot at cycle 0
+    for (std::size_t cycle = 0; cycle < config.maxPowerCycles; ++cycle) {
+        *bench->volts = config.stableVolts;
+        phase(cycle, 0, config.stableCycles);
+        if (sys.appFinished())
+            break;
+        *bench->volts = g.vCkpt - 0.02;
+        phase(cycle, 1, config.lowCycles);
+        if (sys.appFinished())
+            break;
+        sys.powerFail();
+        sys.powerOn();
+    }
+    // instrument() already saw this exact schedule finish.
+    FS_ASSERT(sys.appFinished(), "probe schedule never finished the app");
 }
 
-std::size_t
-TortureRig::checkpointCount()
+} // namespace
+
+std::shared_ptr<const GoldenRun>
+GoldenRun::build(soc::GuestProgram prog, TortureConfig config,
+                 GoldenError *error)
 {
-    instrument();
-    return windows_.size();
+    auto g = std::make_shared<GoldenRun>();
+    g->prog = std::move(prog);
+    config.snapshotStride = resolvedSnapshotStride(config);
+    g->config = config;
+
+    // Same threshold recipe as the integration fixtures: enough
+    // headroom above the core minimum to finish a commit at full
+    // load, padded by the monitor's resolution.
+    const core::FailureSentinels &monitor = sharedMonitor();
+    harvest::SystemLoad load;
+    const double capacitance = harvest::ScenarioParams{}.capacitance;
+    g->vCkpt = load.coreVmin() +
+               load.activeCurrentWith(monitor) * config.headroomSeconds /
+                   capacitance +
+               monitor.resolution();
+    g->threshold = monitor.countThresholdFor(g->vCkpt);
+
+    const GoldenError e = instrument(*g);
+    if (error)
+        *error = e;
+    if (e != GoldenError::kNone)
+        return nullptr;
+    goldenPass(*g);
+    return g;
+}
+
+TortureRig::TortureRig(soc::GuestProgram prog, TortureConfig config)
+{
+    GoldenError error = GoldenError::kNone;
+    golden_ = GoldenRun::build(std::move(prog), config, &error);
+    FS_ASSERT(golden_, goldenErrorMessage(error));
+}
+
+TortureRig::TortureRig(std::shared_ptr<const GoldenRun> golden)
+    : golden_(std::move(golden))
+{
+    FS_ASSERT(golden_, "torture rig needs a golden run");
+}
+
+TortureRig::~TortureRig() = default;
+
+std::unique_ptr<TortureBench>
+TortureRig::acquireBench()
+{
+    {
+        std::lock_guard<std::mutex> lock(bench_mu_);
+        if (!bench_pool_.empty()) {
+            auto bench = std::move(bench_pool_.back());
+            bench_pool_.pop_back();
+            return bench;
+        }
+    }
+    return makeBench(*golden_);
+}
+
+void
+TortureRig::releaseBench(std::unique_ptr<TortureBench> bench)
+{
+    std::lock_guard<std::mutex> lock(bench_mu_);
+    bench_pool_.push_back(std::move(bench));
 }
 
 CommitWindow
-TortureRig::commitWindow(std::size_t which)
+TortureRig::commitWindow(std::size_t which) const
 {
-    instrument();
-    FS_ASSERT(which < windows_.size(), "no such commit window");
-    return windows_[which];
+    FS_ASSERT(which < golden_->windows.size(), "no such commit window");
+    return golden_->windows[which];
 }
 
 bool
 TortureRig::snapshotsActive() const
 {
-    return !snapshotsDisabledByEnv() && snapshotStrideFor(config_) > 0;
+    return !snapshotsDisabledByEnv() &&
+           resolvedSnapshotStride(golden_->config) > 0;
 }
 
 TortureOutcome
 TortureRig::runKill(const PowerKill &kill) const
 {
+    const GoldenRun &g = *golden_;
+    const TortureConfig &config = g.config;
     TortureOutcome out;
-    auto bench = build();
+    auto bench = makeBench(g);
     soc::Soc &sys = *bench->soc;
 
     FaultPlan plan;
@@ -233,13 +369,13 @@ TortureRig::runKill(const PowerKill &kill) const
     sys.setFaultInjector(&injector);
 
     sys.powerOn();
-    for (std::size_t cycle = 0; cycle < config_.maxPowerCycles; ++cycle) {
-        *bench->volts = config_.stableVolts;
-        sys.run(config_.stableCycles);
+    for (std::size_t cycle = 0; cycle < config.maxPowerCycles; ++cycle) {
+        *bench->volts = config.stableVolts;
+        sys.run(config.stableCycles);
         if (sys.appFinished() || sys.faultKilled())
             break;
-        *bench->volts = v_ckpt_ - 0.02;
-        sys.run(config_.lowCycles);
+        *bench->volts = g.vCkpt - 0.02;
+        sys.run(config.lowCycles);
         if (sys.appFinished() || sys.faultKilled())
             break;
         sys.powerFail();
@@ -252,13 +388,13 @@ TortureRig::runKill(const PowerKill &kill) const
 
     if (out.killed) {
         out.coldRestart = out.validSlots == 0;
-        *bench->volts = config_.stableVolts;
+        *bench->volts = config.stableVolts;
         sys.powerOn();
-        sys.run(config_.recoveryCycles);
+        sys.run(config.recoveryCycles);
     }
     out.finished = sys.appFinished();
-    out.result = out.finished ? sys.guestResult(prog_) : 0;
-    out.resultCorrect = out.finished && out.result == prog_.expected;
+    out.result = out.finished ? sys.guestResult(g.prog) : 0;
+    out.resultCorrect = out.finished && out.result == g.prog.expected;
     return out;
 }
 
@@ -266,141 +402,50 @@ std::vector<TortureOutcome>
 TortureRig::runKills(const std::vector<PowerKill> &kills,
                      util::ThreadPool *pool)
 {
-    if (snapshotsActive())
-        return runKillsForked(kills, pool);
     util::ThreadPool &p = pool ? *pool : util::ThreadPool::shared();
+    if (snapshotsActive())
+        return p.parallelMap(kills.size(), [&](std::size_t i) {
+            return runKillForked(kills[i]);
+        });
     return p.parallelMap(kills.size(), [&](std::size_t i) {
         return runKill(kills[i]);
     });
 }
 
-void
-TortureRig::goldenPass(bool record_probe, bool capture)
-{
-    // Replay runKill()'s exact schedule with no injector, one step at
-    // a time (run() is documented bit-identical to the step loop), so
-    // probe_steps_[i] is precisely the i-th instruction every kill
-    // run executes before its kill fires, and every snapshot lands on
-    // an instruction boundary the kill runs also cross.
-    auto bench = build();
-    soc::Soc &sys = *bench->soc;
-
-    // Capture targets in total-cycle coordinates: boot, every commit
-    // window boundary, and a fixed stride across the whole run.
-    std::vector<std::uint64_t> targets;
-    std::size_t next_target = 0;
-    if (capture) {
-        targets.push_back(0);
-        for (const CommitWindow &w : windows_) {
-            targets.push_back(w.begin);
-            targets.push_back(w.end);
-        }
-        const std::uint64_t stride = snapshotStrideFor(config_);
-        for (std::uint64_t c = stride; c < clean_cycles_; c += stride)
-            targets.push_back(c);
-        std::sort(targets.begin(), targets.end());
-        targets.erase(std::unique(targets.begin(), targets.end()),
-                      targets.end());
-        snapshots_.reserve(targets.size());
-    }
-
-    const auto maybe_capture = [&](std::size_t power_cycle, int phase_id,
-                                   std::uint64_t spent) {
-        if (!capture || next_target >= targets.size() ||
-            sys.totalCycles() < targets[next_target])
-            return;
-        while (next_target < targets.size() &&
-               targets[next_target] <= sys.totalCycles())
-            ++next_target;
-        GoldenSnapshot g;
-        g.state = sys.saveSnapshot(
-            snapshots_.empty() ? nullptr : &snapshots_.back().state);
-        g.powerCycle = power_cycle;
-        g.phase = phase_id;
-        g.spentInPhase = spent;
-        snapshots_.push_back(std::move(g));
-    };
-
-    const auto phase = [&](std::size_t power_cycle, int phase_id,
-                           std::uint64_t budget) {
-        std::uint64_t spent = 0;
-        while (!sys.hart().halted() && spent < budget) {
-            ProbeStep rec;
-            rec.pcBefore = sys.hart().pc();
-            const std::uint64_t before = sys.totalCycles();
-            const std::uint64_t writes = sys.fram().writeCount();
-            sys.step();
-            spent += sys.totalCycles() - before;
-            if (record_probe) {
-                rec.cycleAfter = sys.totalCycles();
-                rec.wrote = sys.fram().writeCount() != writes;
-                rec.bytesWritten = sys.fram().bytesWritten();
-                rec.finished = sys.appFinished();
-                probe_steps_.push_back(rec);
-            }
-            maybe_capture(power_cycle, phase_id, spent);
-        }
-    };
-    sys.powerOn();
-    maybe_capture(0, 0, 0); // boot snapshot at cycle 0
-    for (std::size_t cycle = 0; cycle < config_.maxPowerCycles; ++cycle) {
-        *bench->volts = config_.stableVolts;
-        phase(cycle, 0, config_.stableCycles);
-        if (sys.appFinished())
-            break;
-        *bench->volts = v_ckpt_ - 0.02;
-        phase(cycle, 1, config_.lowCycles);
-        if (sys.appFinished())
-            break;
-        sys.powerFail();
-        sys.powerOn();
-    }
-    FS_ASSERT(sys.appFinished(),
-              "probe schedule never finished the app");
-}
-
-void
-TortureRig::probeSchedule()
-{
-    const bool want_probe = !probed_;
-    const bool want_capture = snapshotsActive() && snapshots_.empty();
-    if (!want_probe && !want_capture)
-        return;
-    instrument(); // commit windows feed the capture targets
-    goldenPass(want_probe, want_capture);
-    probed_ = true;
-}
-
-const TortureRig::GoldenSnapshot &
+const GoldenRun::Snapshot &
 TortureRig::snapshotBefore(std::uint64_t kill_cycle) const
 {
     // Strictly before: a snapshot taken at exactly kill_cycle already
     // executed the instruction the kill fires at the end of (kills
     // are polled after each step), so forking there would miss it.
+    const std::vector<GoldenRun::Snapshot> &snaps = golden_->snapshots;
     const auto it = std::lower_bound(
-        snapshots_.begin(), snapshots_.end(), kill_cycle,
-        [](const GoldenSnapshot &g, std::uint64_t c) {
+        snaps.begin(), snaps.end(), kill_cycle,
+        [](const GoldenRun::Snapshot &g, std::uint64_t c) {
             return g.state.totalCycles < c;
         });
-    if (it == snapshots_.begin())
-        return snapshots_.front(); // boot snapshot (cycle 0)
+    if (it == snaps.begin())
+        return snaps.front(); // boot snapshot (cycle 0)
     return *(it - 1);
 }
 
-std::vector<TortureOutcome>
-TortureRig::runKillsForked(const std::vector<PowerKill> &kills,
-                           util::ThreadPool *pool)
+std::vector<GoldenRun::ProbeStep>::const_iterator
+TortureRig::probeStepAt(std::uint64_t kill_cycle) const
 {
-    probeSchedule(); // golden snapshots + probe steps, one pass
-    util::ThreadPool &p = pool ? *pool : util::ThreadPool::shared();
-    return p.parallelMap(kills.size(), [&](std::size_t i) {
-        return runKillForked(kills[i]);
-    });
+    // The kill fires at the end of the first step whose cycle counter
+    // reaches kill_cycle (Soc::step polls killDue after executing).
+    const std::vector<GoldenRun::ProbeStep> &steps = golden_->probeSteps;
+    return std::lower_bound(steps.begin(), steps.end(), kill_cycle,
+                            [](const GoldenRun::ProbeStep &s,
+                               std::uint64_t c) {
+                                return s.cycleAfter < c;
+                            });
 }
 
 TortureOutcome
 TortureRig::runKillForked(const PowerKill &kill)
 {
+    const TortureConfig &config = golden_->config;
     auto bench = acquireBench();
     soc::Soc &sys = *bench->soc;
 
@@ -408,7 +453,7 @@ TortureRig::runKillForked(const PowerKill &kill)
     plan.kills.push_back(kill);
     FaultInjector injector(plan);
 
-    const GoldenSnapshot &snap = snapshotBefore(kill.cycle);
+    const GoldenRun::Snapshot &snap = snapshotBefore(kill.cycle);
     sys.restoreSnapshot(snap.state);
     // Attaching the injector after the restore is exact: a kill-only
     // plan's write filter never tears (it only advances a cursor no
@@ -418,21 +463,21 @@ TortureRig::runKillForked(const PowerKill &kill)
     sys.setFaultInjector(&injector);
 
     for (std::size_t cycle = snap.powerCycle;
-         cycle < config_.maxPowerCycles; ++cycle) {
+         cycle < config.maxPowerCycles; ++cycle) {
         const bool resuming = cycle == snap.powerCycle;
         if (!resuming || snap.phase == 0) {
             const std::uint64_t spent =
                 resuming && snap.phase == 0 ? snap.spentInPhase : 0;
-            *bench->volts = config_.stableVolts;
-            sys.run(config_.stableCycles -
-                    std::min(config_.stableCycles, spent));
+            *bench->volts = config.stableVolts;
+            sys.run(config.stableCycles -
+                    std::min(config.stableCycles, spent));
             if (sys.appFinished() || sys.faultKilled())
                 break;
         }
         const std::uint64_t spent =
             resuming && snap.phase == 1 ? snap.spentInPhase : 0;
-        *bench->volts = v_ckpt_ - 0.02;
-        sys.run(config_.lowCycles - std::min(config_.lowCycles, spent));
+        *bench->volts = golden_->vCkpt - 0.02;
+        sys.run(config.lowCycles - std::min(config.lowCycles, spent));
         if (sys.appFinished() || sys.faultKilled())
             break;
         sys.powerFail();
@@ -446,9 +491,11 @@ TortureRig::runKillForked(const PowerKill &kill)
 }
 
 TortureOutcome
-TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
+TortureRig::finishOutcome(TortureBench &bench, FaultInjector &injector,
                           const soc::Snapshot &fork)
 {
+    const soc::GuestProgram &prog = golden_->prog;
+    const TortureConfig &config = golden_->config;
     soc::Soc &sys = *bench.soc;
     TortureOutcome out;
     out.killed = sys.faultKilled();
@@ -457,8 +504,8 @@ TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
 
     if (!out.killed) {
         out.finished = sys.appFinished();
-        out.result = out.finished ? sys.guestResult(prog_) : 0;
-        out.resultCorrect = out.finished && out.result == prog_.expected;
+        out.result = out.finished ? sys.guestResult(prog) : 0;
+        out.resultCorrect = out.finished && out.result == prog.expected;
         return out;
     }
 
@@ -494,19 +541,19 @@ TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
             out.finished = cached->finished;
             out.result = cached->result;
             out.resultCorrect =
-                out.finished && out.result == prog_.expected;
+                out.finished && out.result == prog.expected;
             return out;
         }
         RecoveryMemo memo;
         memo.image.captureDirty(fram, fork.fram, dirty);
-        *bench.volts = config_.stableVolts;
+        *bench.volts = config.stableVolts;
         sys.powerOn();
-        sys.run(config_.recoveryCycles);
+        sys.run(config.recoveryCycles);
         memo.finished = sys.appFinished();
-        memo.result = memo.finished ? sys.guestResult(prog_) : 0;
+        memo.result = memo.finished ? sys.guestResult(prog) : 0;
         out.finished = memo.finished;
         out.result = memo.result;
-        out.resultCorrect = out.finished && out.result == prog_.expected;
+        out.resultCorrect = out.finished && out.result == prog.expected;
         {
             // emplace keeps the first entry on a race: both racers
             // computed the same deterministic verdict anyway.
@@ -516,27 +563,22 @@ TortureRig::finishOutcome(Bench &bench, FaultInjector &injector,
         return out;
     }
 
-    *bench.volts = config_.stableVolts;
+    *bench.volts = config.stableVolts;
     sys.powerOn();
-    sys.run(config_.recoveryCycles);
+    sys.run(config.recoveryCycles);
     out.finished = sys.appFinished();
-    out.result = out.finished ? sys.guestResult(prog_) : 0;
-    out.resultCorrect = out.finished && out.result == prog_.expected;
+    out.result = out.finished ? sys.guestResult(prog) : 0;
+    out.resultCorrect = out.finished && out.result == prog.expected;
     return out;
 }
 
 std::vector<std::uint32_t>
-TortureRig::killSitePcs(const std::vector<PowerKill> &kills)
+TortureRig::killSitePcs(const std::vector<PowerKill> &kills) const
 {
-    probeSchedule();
     std::vector<std::uint32_t> pcs(kills.size(), kNoKillSite);
     for (std::size_t i = 0; i < kills.size(); ++i) {
-        const auto it = std::lower_bound(
-            probe_steps_.begin(), probe_steps_.end(), kills[i].cycle,
-            [](const ProbeStep &s, std::uint64_t c) {
-                return s.cycleAfter < c;
-            });
-        if (it != probe_steps_.end())
+        const auto it = probeStepAt(kills[i].cycle);
+        if (it != golden_->probeSteps.end())
             pcs[i] = it->pcBefore;
     }
     return pcs;
@@ -546,7 +588,7 @@ ConvergeStats
 TortureRig::convergeStats() const
 {
     ConvergeStats st;
-    st.goldenSnapshots = snapshots_.size();
+    st.goldenSnapshots = golden_->snapshots.size();
     std::lock_guard<std::mutex> lock(memo_mu_);
     st.memoEntries = memo_.size();
     st.memoHits = memo_hits_.load(std::memory_order_relaxed);
@@ -557,8 +599,8 @@ std::size_t
 TortureRig::snapshotMemoryBytes() const
 {
     std::vector<const soc::PagedImage *> images;
-    images.reserve(snapshots_.size() * 2 + 16);
-    for (const GoldenSnapshot &g : snapshots_) {
+    images.reserve(golden_->snapshots.size() * 2 + 16);
+    for (const GoldenRun::Snapshot &g : golden_->snapshots) {
         images.push_back(&g.state.fram);
         images.push_back(&g.state.sram);
     }
@@ -573,8 +615,6 @@ TortureRig::runKillsPruned(const std::vector<PowerKill> &kills,
                            const InjectionPointMap &map,
                            util::ThreadPool *pool, PruneStats *stats)
 {
-    probeSchedule();
-
     PruneStats st;
     st.totalKills = kills.size();
 
@@ -587,15 +627,8 @@ TortureRig::runKillsPruned(const std::vector<PowerKill> &kills,
     std::size_t clean_slot = 0;
 
     for (std::size_t i = 0; i < kills.size(); ++i) {
-        // The kill fires at the end of the first step whose cycle
-        // counter reaches kill.cycle (Soc::step polls killDue after
-        // executing).
-        const auto it = std::lower_bound(
-            probe_steps_.begin(), probe_steps_.end(), kills[i].cycle,
-            [](const ProbeStep &s, std::uint64_t c) {
-                return s.cycleAfter < c;
-            });
-        if (it == probe_steps_.end()) {
+        const auto it = probeStepAt(kills[i].cycle);
+        if (it == golden_->probeSteps.end()) {
             // Never fires: every such kill replays the fault-free
             // schedule; one representative covers them all.
             ++st.neverFires;

@@ -23,9 +23,10 @@
  * image -- the same invariant runKillsPruned() already rests on; a
  * byte-exact image comparison guards every memo hit, so key
  * collisions cannot leak a wrong verdict). Verdicts are bit-identical
- * to replay-from-boot at any thread count; FS_NO_SNAPSHOT=1 forces
- * the legacy from-boot replay and FS_SNAPSHOT_STRIDE overrides the
- * capture stride (0 also disables forking).
+ * to replay-from-boot at any thread count. FS_NO_SNAPSHOT=1 forces
+ * the legacy from-boot replay; it is read on every runKills() call.
+ * FS_SNAPSHOT_STRIDE overrides the capture stride; it is read when a
+ * golden run is built, and 0 also disables forking.
  *
  * A forked kill costs O(FRAM pages its replay wrote), not O(FRAM):
  * benches are recycled SoCs whose delta restore copies only pages
@@ -33,6 +34,23 @@
  * death image's memo key is the fork snapshot's key corrected for the
  * dirty pages; and the memo check compares only pages that are dirty
  * or not shared with the fork snapshot (see soc/snapshot.h).
+ *
+ * Cost model. Everything that depends only on (program, config) lives
+ * in a GoldenRun: the instrumented pass that finds the commit windows
+ * and the single-stepped golden pass that records the probe steps and
+ * captures the golden snapshots. It is built once, in one call, and
+ * shared by every rig of a campaign (serve::Engine keeps the latest
+ * one for exhaustive point-range shards). A TortureRig owns only
+ * per-campaign state: the recovery memo, the bench pool and the
+ * convergence flag. The voltage monitor every SoC samples is enrolled
+ * once per process and shared by all rigs.
+ *
+ * Concurrency contract. A GoldenRun is immutable once built; any
+ * number of threads and rigs may read it at once. runKill() and the
+ * golden-run accessors are const and safe from any thread.
+ * runKills()/runKillsPruned() may be called from several threads at
+ * once, on one rig or on rigs sharing a golden run: the memo and the
+ * bench pool are locked. setConvergenceEnabled() must not race them.
  */
 
 #ifndef FS_FAULT_TORTURE_RIG_H_
@@ -51,12 +69,6 @@
 #include "soc/snapshot.h"
 
 namespace fs {
-namespace core {
-class FailureSentinels;
-} // namespace core
-namespace soc {
-class Soc;
-} // namespace soc
 namespace util {
 class ThreadPool;
 } // namespace util
@@ -123,23 +135,93 @@ struct TortureOutcome {
     std::uint32_t result = 0;
 };
 
+/** Why a fault-free schedule cannot anchor a campaign. */
+enum class GoldenError {
+    kNone = 0,
+    kNoCheckpoint,  ///< a brown-out phase ended without a commit
+    kNeverFinished, ///< the power-cycle budget ran out first
+    kWrongAnswer,   ///< the app finished with a wrong result
+};
+
+/** Human-readable reason for a GoldenError. */
+const char *goldenErrorMessage(GoldenError error);
+
+/**
+ * The fault-free analysis of one (program, config): what every kill
+ * of a campaign is measured against. Built once by build() and then
+ * never mutated, so it is shared as shared_ptr<const GoldenRun>.
+ */
+struct GoldenRun {
+    /** One instruction of the fault-free schedule, as a kill target. */
+    struct ProbeStep {
+        std::uint64_t cycleAfter = 0;   ///< totalCycles after the step
+        std::uint32_t pcBefore = 0;     ///< instruction that executed
+        bool wrote = false;             ///< FRAM write during the step
+        bool finished = false;          ///< app done after the step
+        std::uint64_t bytesWritten = 0; ///< cumulative FRAM bytes
+    };
+
+    /**
+     * A golden-run snapshot plus its schedule coordinates: the power
+     * cycle's loop index, which phase was running (0 = stable, 1 =
+     * brown-out), and the cycles that phase had already consumed --
+     * enough to resume the phase loop with the remaining budget.
+     */
+    struct Snapshot {
+        soc::Snapshot state;
+        std::size_t powerCycle = 0;
+        int phase = 0;
+        std::uint64_t spentInPhase = 0;
+    };
+
+    /**
+     * Run the instrumented pass and the golden pass. The snapshots are
+     * captured at boot, at every commit-window boundary and at the
+     * stride resolved now (FS_SNAPSHOT_STRIDE, else
+     * config.snapshotStride; 0 = no stride captures), which the run
+     * keeps in its config. Returns null and sets @p error when the
+     * schedule cannot anchor a campaign.
+     */
+    static std::shared_ptr<const GoldenRun>
+    build(soc::GuestProgram prog, TortureConfig config,
+          GoldenError *error = nullptr);
+
+    soc::GuestProgram prog;
+    TortureConfig config;      ///< snapshotStride holds the resolved one
+    double vCkpt = 0.0;        ///< checkpoint threshold voltage
+    std::uint32_t threshold = 0; ///< the same, as a monitor count
+    std::uint64_t cleanCycles = 0;
+    std::vector<CommitWindow> windows;
+    std::vector<ProbeStep> probeSteps;
+    std::vector<Snapshot> snapshots; ///< sorted by totalCycles
+};
+
+/** The snapshot stride a GoldenRun built now would use. */
+std::uint64_t resolvedSnapshotStride(const TortureConfig &config);
+
+struct TortureBench; ///< one disposable SoC + its supply cell
+
 class TortureRig
 {
   public:
     /** killSitePcs() value for kills the schedule never reaches. */
     static constexpr std::uint32_t kNoKillSite = 0xFFFFFFFFu;
 
+    /** Build the golden run here; a schedule that cannot anchor a
+     *  campaign is fatal (use GoldenRun::build to handle it). */
     explicit TortureRig(soc::GuestProgram prog, TortureConfig config = {});
+    /** A campaign over an already built, possibly shared golden run. */
+    explicit TortureRig(std::shared_ptr<const GoldenRun> golden);
     ~TortureRig();
 
     /** Total cycles the fault-free schedule needs to finish the app. */
-    std::uint64_t cleanRunCycles();
+    std::uint64_t cleanRunCycles() const { return golden_->cleanCycles; }
 
     /** Checkpoints committed during the fault-free schedule. */
-    std::size_t checkpointCount();
+    std::size_t checkpointCount() const { return golden_->windows.size(); }
 
     /** Commit window of the `which`-th checkpoint (0-based). */
-    CommitWindow commitWindow(std::size_t which);
+    CommitWindow commitWindow(std::size_t which) const;
 
     /**
      * Replay the schedule from boot with one injected supply kill,
@@ -170,9 +252,9 @@ class TortureRig
      * per group is replayed; the rest copy its outcome.
      *
      * Soundness: a pruned kill never tears (the killing instruction
-     * wrote no NVM -- checked dynamically against a one-time
-     * fault-free probe replay, not just statically), power loss wipes
-     * all volatile state, and recovery runs on stable power, so the
+     * wrote no NVM -- checked dynamically against the golden run's
+     * probe steps, not just statically), power loss wipes all
+     * volatile state, and recovery runs on stable power, so the
      * outcome is a pure function of the FRAM image at death. Two
      * pruned kills with the same cumulative FRAM byte-write count die
      * with byte-identical FRAM (they share the fault-free prefix), so
@@ -193,13 +275,14 @@ class TortureRig
      * coverage map aggregates verdicts under.
      */
     std::vector<std::uint32_t>
-    killSitePcs(const std::vector<PowerKill> &kills);
+    killSitePcs(const std::vector<PowerKill> &kills) const;
 
     /** Toggle recovery memoization (on by default). Off still forks
      *  from snapshots; every recovery then executes in full. */
     void setConvergenceEnabled(bool on) { converge_on_ = on; }
 
-    /** True when runKills() will fork from snapshots (env + stride). */
+    /** True when runKills() will fork from snapshots: FS_NO_SNAPSHOT
+     *  is unset and the stride resolved now is non-zero. */
     bool snapshotsActive() const;
 
     /** Snapshot-fork accounting (see ConvergeStats). */
@@ -213,33 +296,15 @@ class TortureRig
     std::size_t snapshotMemoryBytes() const;
 
     /** The checkpoint threshold voltage the rig programs. */
-    double checkpointVolts() const { return v_ckpt_; }
+    double checkpointVolts() const { return golden_->vCkpt; }
+
+    /** The shared fault-free analysis this rig grades against. */
+    const std::shared_ptr<const GoldenRun> &golden() const
+    {
+        return golden_;
+    }
 
   private:
-    struct Bench; ///< one disposable SoC + its supply cell
-
-    /** One instruction of the fault-free schedule, as a kill target. */
-    struct ProbeStep {
-        std::uint64_t cycleAfter = 0;   ///< totalCycles after the step
-        std::uint32_t pcBefore = 0;     ///< instruction that executed
-        bool wrote = false;             ///< FRAM write during the step
-        bool finished = false;          ///< app done after the step
-        std::uint64_t bytesWritten = 0; ///< cumulative FRAM bytes
-    };
-
-    /**
-     * A golden-run snapshot plus its schedule coordinates: the power
-     * cycle's loop index, which phase was running (0 = stable, 1 =
-     * brown-out), and the cycles that phase had already consumed --
-     * enough to resume the phase loop with the remaining budget.
-     */
-    struct GoldenSnapshot {
-        soc::Snapshot state;
-        std::size_t powerCycle = 0;
-        int phase = 0;
-        std::uint64_t spentInPhase = 0;
-    };
-
     /** Memoized recovery verdict for one FRAM image at death, keyed
      *  by image.key(). */
     struct RecoveryMemo {
@@ -248,34 +313,17 @@ class TortureRig
         std::uint32_t result = 0;
     };
 
-    std::unique_ptr<Bench> build() const;
-    std::unique_ptr<Bench> acquireBench();
-    void releaseBench(std::unique_ptr<Bench> bench);
-    void instrument();
-    void probeSchedule();
-    void goldenPass(bool record_probe, bool capture);
-    const GoldenSnapshot &snapshotBefore(std::uint64_t kill_cycle) const;
-    std::vector<TortureOutcome>
-    runKillsForked(const std::vector<PowerKill> &kills,
-                   util::ThreadPool *pool);
+    std::unique_ptr<TortureBench> acquireBench();
+    void releaseBench(std::unique_ptr<TortureBench> bench);
+    const GoldenRun::Snapshot &snapshotBefore(std::uint64_t kill_cycle) const;
+    std::vector<GoldenRun::ProbeStep>::const_iterator
+    probeStepAt(std::uint64_t kill_cycle) const;
     TortureOutcome runKillForked(const PowerKill &kill);
-    TortureOutcome finishOutcome(Bench &bench, FaultInjector &injector,
+    TortureOutcome finishOutcome(TortureBench &bench,
+                                 FaultInjector &injector,
                                  const soc::Snapshot &fork);
 
-    std::unique_ptr<core::FailureSentinels> monitor_;
-    soc::GuestProgram prog_;
-    TortureConfig config_;
-    double v_ckpt_ = 0.0;
-    std::uint32_t threshold_ = 0;
-
-    bool instrumented_ = false;
-    std::uint64_t clean_cycles_ = 0;
-    std::vector<CommitWindow> windows_;
-
-    bool probed_ = false;
-    std::vector<ProbeStep> probe_steps_;
-
-    std::vector<GoldenSnapshot> snapshots_; ///< sorted by totalCycles
+    std::shared_ptr<const GoldenRun> golden_;
 
     bool converge_on_ = true;
     mutable std::mutex memo_mu_;
@@ -284,9 +332,9 @@ class TortureRig
 
     /** Recycled SoCs: restoreSnapshot leaves every byte of state equal
      *  to the snapshot, so a reused bench is indistinguishable from a
-     *  fresh build() -- and its restores are deltas. */
+     *  fresh one -- and its restores are deltas. */
     std::mutex bench_mu_;
-    std::vector<std::unique_ptr<Bench>> bench_pool_;
+    std::vector<std::unique_ptr<TortureBench>> bench_pool_;
 };
 
 } // namespace fault

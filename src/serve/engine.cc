@@ -85,6 +85,17 @@ buildWorkload(const WorkloadSpec &spec, soc::GuestProgram &out,
     return false;
 }
 
+/** The power schedule a torture job asks for. */
+fault::TortureConfig
+tortureConfig(const TortureJob &job)
+{
+    fault::TortureConfig config;
+    config.sramSize = job.sramSize;
+    config.stableCycles = job.stableCycles;
+    config.lowCycles = job.lowCycles;
+    return config;
+}
+
 } // namespace
 
 Engine::Engine() : Engine(Options{}) {}
@@ -192,6 +203,63 @@ Engine::executeDseShard(const DseShardJob &job) const
     return res;
 }
 
+/** A golden run plus the lint report of its program. */
+struct Engine::GoldenEntry {
+    WorkloadSpec workload;
+    std::shared_ptr<const fault::GoldenRun> run;
+    analysis::LintReport lint;
+
+    /** True when this entry is the golden run `job` would build with
+     *  the snapshot stride resolved now. */
+    bool serves(const TortureJob &job) const
+    {
+        const fault::TortureConfig &c = run->config;
+        const fault::TortureConfig want = tortureConfig(job);
+        return workload.kind == job.workload.kind &&
+               workload.a == job.workload.a &&
+               workload.b == job.workload.b &&
+               workload.seed == job.workload.seed &&
+               c.sramSize == want.sramSize &&
+               c.stableCycles == want.stableCycles &&
+               c.lowCycles == want.lowCycles &&
+               c.snapshotStride == fault::resolvedSnapshotStride(want);
+    }
+};
+
+std::shared_ptr<const Engine::GoldenEntry>
+Engine::goldenFor(const TortureJob &job, soc::GuestProgram prog,
+                  std::string &err) const
+{
+    // Only exhaustive point-range shards are retained: a campaign's
+    // shards share one golden run, while a sampled job is a one-off
+    // and retaining it would only pin its snapshots.
+    const bool retain = job.exhaustivePoints > 0;
+    if (retain) {
+        std::lock_guard<std::mutex> lock(golden_mu_);
+        if (golden_ && golden_->serves(job))
+            return golden_;
+    }
+
+    auto entry = std::make_shared<GoldenEntry>();
+    entry->workload = job.workload;
+    fault::GoldenError error = fault::GoldenError::kNone;
+    entry->run =
+        fault::GoldenRun::build(std::move(prog), tortureConfig(job), &error);
+    if (!entry->run) {
+        // A schedule that cannot anchor a campaign is the request's
+        // fault, not the daemon's; failed builds are never retained.
+        err = std::string("torture schedule: ") +
+              fault::goldenErrorMessage(error);
+        return nullptr;
+    }
+    entry->lint = analysis::lintGuestProgram(entry->run->prog);
+    if (retain) {
+        std::lock_guard<std::mutex> lock(golden_mu_);
+        golden_ = entry;
+    }
+    return entry;
+}
+
 Response
 Engine::executeTorture(const TortureJob &job) const
 {
@@ -206,11 +274,12 @@ Engine::executeTorture(const TortureJob &job) const
     if (job.exhaustivePoints > 100'000'000)
         return badRequest("exhaustive campaign too large (> 1e8)");
 
-    fault::TortureConfig config;
-    config.sramSize = job.sramSize;
-    config.stableCycles = job.stableCycles;
-    config.lowCycles = job.lowCycles;
-    fault::TortureRig rig(prog, config);
+    const std::shared_ptr<const GoldenEntry> golden =
+        goldenFor(job, std::move(prog), err);
+    if (!golden)
+        return badRequest(std::move(err));
+    fault::TortureRig rig(golden->run);
+    const analysis::LintReport &lint = golden->lint;
 
     const std::size_t windows = rig.checkpointCount();
     const std::uint64_t span = rig.cleanRunCycles();
@@ -281,7 +350,6 @@ Engine::executeTorture(const TortureJob &job) const
     // map only collapses statically-equivalent kills; the surviving
     // replays still fork from golden snapshots), and runKillsPruned is
     // bit-identical to runKills, so both modes share one path.
-    const analysis::LintReport lint = analysis::lintGuestProgram(prog);
     const std::vector<fault::TortureOutcome> outcomes =
         rig.runKillsPruned(kills, lint.pruningMap, &pool());
 

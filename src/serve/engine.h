@@ -12,6 +12,22 @@
  * caching sound: the cache never has to decide whether a stored
  * response is "close enough", it is the exact bytes a fresh run would
  * produce.
+ *
+ * Exhaustive point-range shards of one campaign share their fault-free
+ * analysis: the engine retains the most recent golden run (and the
+ * program's lint report) built for an exhaustive TortureJob, keyed on
+ * everything it depends on -- workload, SRAM size, power schedule and
+ * the resolved snapshot stride. It is a single entry: a shard of a
+ * different campaign replaces it. Sampled torture jobs build their own
+ * and retain nothing. Each request still grades on its own rig, so the
+ * recovery memo never outlives the request.
+ *
+ * Concurrency contract: execute() is const and safe from any number
+ * of threads at once. The retained golden run is immutable once built
+ * and swapped under a mutex, so concurrent shards read it without
+ * locks; two threads missing at once both build it and the last one
+ * stored wins (the builds are identical). serve() and serveBatch()
+ * go through the ResultCache, which is safe to share as well.
  */
 
 #ifndef FS_SERVE_ENGINE_H_
@@ -20,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,6 +44,9 @@
 #include "serve/wire.h"
 
 namespace fs {
+namespace soc {
+struct GuestProgram;
+} // namespace soc
 namespace util {
 class ThreadPool;
 } // namespace util
@@ -96,6 +116,10 @@ class Engine
     Response executeRoSweep(const RoSweepJob &job) const;
     Response executeDesignPoint(const DesignPointJob &job) const;
     Response executeDseShard(const DseShardJob &job) const;
+    struct GoldenEntry;
+    std::shared_ptr<const GoldenEntry>
+    goldenFor(const TortureJob &job, soc::GuestProgram prog,
+              std::string &err) const;
     Response executeTorture(const TortureJob &job) const;
     Response executeGuestRun(const GuestRunJob &job) const;
     Response executeLintImage(const LintImageJob &job) const;
@@ -104,6 +128,9 @@ class Engine
     Options opts_;
     std::unique_ptr<util::ThreadPool> owned_pool_;
     ResultCache cache_;
+    /** Golden run of the latest exhaustive shard (see file comment). */
+    mutable std::mutex golden_mu_;
+    mutable std::shared_ptr<const GoldenEntry> golden_;
 };
 
 } // namespace serve

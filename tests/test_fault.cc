@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/torture_rig.h"
@@ -556,6 +558,46 @@ TEST_F(TortureSweep, SweepCoveredAtLeastFiveHundredInjectionPoints)
     // Runs last in declaration order within this fixture; gtest runs
     // tests in definition order by default.
     EXPECT_GE(points_, 500u);
+}
+
+// ---------------------------------------------------------------------
+// The golden run: typed schedule failures instead of a panic
+// ---------------------------------------------------------------------
+
+TEST(GoldenRun, UnschedulableConfigsAreTypedErrors)
+{
+    // A one-cycle brown-out phase can never commit a checkpoint.
+    TortureConfig no_commit;
+    no_commit.stableCycles = 1;
+    no_commit.lowCycles = 1;
+    GoldenError error = GoldenError::kNone;
+    EXPECT_EQ(GoldenRun::build(soc::makeCrc32Program(256, 1), no_commit,
+                               &error),
+              nullptr);
+    EXPECT_EQ(error, GoldenError::kNoCheckpoint);
+
+    // One power cycle commits once but is too short to finish.
+    TortureConfig one_cycle;
+    one_cycle.stableCycles = 60'000;
+    one_cycle.lowCycles = 30'000;
+    one_cycle.maxPowerCycles = 1;
+    EXPECT_EQ(GoldenRun::build(soc::makeCrc32Program(4096, 11),
+                               one_cycle, &error),
+              nullptr);
+    EXPECT_EQ(error, GoldenError::kNeverFinished);
+    EXPECT_NE(std::string(goldenErrorMessage(error)), "ok");
+
+    // The same schedule with its full budget anchors a campaign.
+    TortureConfig sound = one_cycle;
+    sound.maxPowerCycles = TortureConfig{}.maxPowerCycles;
+    const auto golden =
+        GoldenRun::build(soc::makeCrc32Program(4096, 11), sound, &error);
+    ASSERT_NE(golden, nullptr);
+    EXPECT_EQ(error, GoldenError::kNone);
+    EXPECT_GE(golden->windows.size(), 2u);
+    EXPECT_FALSE(golden->snapshots.empty());
+    EXPECT_EQ(golden->probeSteps.back().cycleAfter, golden->cleanCycles);
+    EXPECT_EQ(golden->config.snapshotStride, resolvedSnapshotStride(sound));
 }
 
 } // namespace

@@ -1033,6 +1033,175 @@ TEST(Engine, LintImageJobIsServedDeterministicallyAndValidated)
     ASSERT_NE(std::get_if<ErrorResult>(&miss), nullptr);
 }
 
+// --- torture: unschedulable jobs and golden-run reuse ----------------
+
+/** A crc32 torture job under the given power schedule. */
+TortureJob
+scheduleJob(std::uint64_t stable_cycles, std::uint64_t low_cycles)
+{
+    TortureJob job;
+    job.workload.kind = WorkloadSpec::Kind::kCrc32;
+    job.workload.a = 256;
+    job.stableCycles = stable_cycles;
+    job.lowCycles = low_cycles;
+    return job;
+}
+
+/** Decodable jobs whose brown-out phase is too short to commit. */
+std::vector<TortureJob>
+unschedulableJobs()
+{
+    return {scheduleJob(1, 1), scheduleJob(2000, 30000)};
+}
+
+void
+expectBadRequest(const Response &resp)
+{
+    const auto *error = std::get_if<ErrorResult>(&resp);
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->code, ErrorCode::kBadRequest);
+}
+
+TEST(Engine, UnschedulableTortureJobsAreBadRequests)
+{
+    Engine engine(engineOptions(2));
+    for (TortureJob job : unschedulableJobs()) {
+        // Sampled and exhaustive jobs build the golden run alike.
+        for (const std::uint64_t points : {0u, 64u}) {
+            job.exhaustivePoints = points;
+            const ServedResponse served = engine.serve(Request(job));
+            ASSERT_EQ(served.kind, MsgKind::kErrorReply);
+            Response resp;
+            std::string err;
+            ASSERT_TRUE(decodeResponsePayload(served.kind,
+                                              served.payload.data(),
+                                              served.payload.size(),
+                                              resp, err))
+                << err;
+            expectBadRequest(resp);
+        }
+    }
+    EXPECT_EQ(engine.cache().entryCount(), 0u);
+
+    // The engine still grades a sound schedule afterwards.
+    TortureJob sound = scheduleJob(60'000, 30'000);
+    sound.exhaustivePoints = 64;
+    const Response ok = engine.execute(Request(sound));
+    const auto *result = std::get_if<TortureResult>(&ok);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->points, 64u);
+    EXPECT_EQ(result->incorrect, 0u);
+}
+
+WorkloadSpec
+workload(WorkloadSpec::Kind kind, std::uint32_t a)
+{
+    WorkloadSpec spec;
+    spec.kind = kind;
+    spec.a = a;
+    return spec;
+}
+
+/** A 400-point exhaustive campaign as 8 point-range shards. */
+std::vector<TortureJob>
+campaignShards(const WorkloadSpec &spec, std::uint64_t seed)
+{
+    constexpr std::uint64_t kPoints = 400;
+    constexpr std::uint64_t kShards = 8;
+    std::vector<TortureJob> shards;
+    for (std::uint64_t s = 0; s < kShards; ++s) {
+        TortureJob job;
+        job.workload = spec;
+        job.seed = seed;
+        job.exhaustivePoints = kPoints;
+        job.pointOffset = s * kPoints / kShards;
+        job.pointCount = kPoints / kShards;
+        job.coverageMap = 1;
+        shards.push_back(job);
+    }
+    return shards;
+}
+
+/** The reply bytes of a fresh engine, with nothing retained. */
+std::vector<std::uint8_t>
+freshReply(const TortureJob &job)
+{
+    const Engine fresh(engineOptions(2));
+    return encodeResponsePayload(fresh.execute(Request(job)));
+}
+
+TEST(Engine, RetainedGoldenRunRepliesMatchFreshEngines)
+{
+    const Engine engine(engineOptions(2));
+    const auto expect_bytes = [&](const TortureJob &job,
+                                  const std::vector<std::uint8_t> &want,
+                                  const char *step) {
+        const Response resp = engine.execute(Request(job));
+        ASSERT_NE(std::get_if<TortureResult>(&resp), nullptr) << step;
+        EXPECT_EQ(encodeResponsePayload(resp), want)
+            << step << ", shard at point " << job.pointOffset;
+    };
+    const WorkloadSpec crc = workload(WorkloadSpec::Kind::kCrc32, 1024);
+    const std::vector<TortureJob> a = campaignShards(crc, 1);
+    std::vector<std::vector<std::uint8_t>> fresh_a;
+    for (const TortureJob &job : a)
+        fresh_a.push_back(freshReply(job));
+
+    for (std::size_t s = 0; s < a.size(); ++s)
+        expect_bytes(a[s], fresh_a[s], "campaign A");
+    // Another workload's shard replaces the retained golden run.
+    const TortureJob other =
+        campaignShards(workload(WorkloadSpec::Kind::kSort, 64), 1)[3];
+    expect_bytes(other, freshReply(other), "other workload");
+    for (const TortureJob &job : campaignShards(crc, 2))
+        expect_bytes(job, freshReply(job), "campaign A, new seed");
+
+    // The path knobs change between shards of one campaign: from-boot
+    // replay over the retained golden run, then strides that each
+    // force a rebuild (0 also replays from boot).
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        if (s == 0)
+            ::setenv("FS_NO_SNAPSHOT", "1", 1);
+        if (s == 1)
+            ::unsetenv("FS_NO_SNAPSHOT");
+        if (s == 4)
+            ::setenv("FS_SNAPSHOT_STRIDE", "1000", 1);
+        if (s == 7)
+            ::setenv("FS_SNAPSHOT_STRIDE", "0", 1);
+        expect_bytes(a[s], fresh_a[s], "campaign A, knobs changed");
+    }
+    ::unsetenv("FS_SNAPSHOT_STRIDE");
+}
+
+TEST(Engine, ConcurrentShardsOfOneCampaignMatchTheSerialRun)
+{
+    const std::vector<TortureJob> shards =
+        campaignShards(workload(WorkloadSpec::Kind::kCrc32, 2048), 3);
+    std::vector<std::vector<std::uint8_t>> serial;
+    {
+        const Engine engine(engineOptions(2));
+        for (const TortureJob &job : shards)
+            serial.push_back(
+                encodeResponsePayload(engine.execute(Request(job))));
+    }
+
+    // Four callers race one engine: the first shards miss together,
+    // the rest read the retained golden run while others grade on it.
+    const Engine engine(engineOptions(2));
+    std::vector<std::vector<std::uint8_t>> got(shards.size());
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < 4; ++t)
+        callers.emplace_back([&, t] {
+            for (std::size_t s = t; s < shards.size(); s += 4)
+                got[s] = encodeResponsePayload(
+                    engine.execute(Request(shards[s])));
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+    for (std::size_t s = 0; s < shards.size(); ++s)
+        EXPECT_EQ(got[s], serial[s]) << "shard " << s;
+}
+
 // --- live socket -----------------------------------------------------
 
 std::string
@@ -1154,6 +1323,28 @@ TEST(Server, RejectsHostileCacheInsertAndStaysUp)
     client.close();
     server.stop();
     EXPECT_EQ(server.stats().cacheInserts, 0u);
+}
+
+TEST(Server, AnswersUnschedulableTortureJobAndStaysUp)
+{
+    Server::Options opts;
+    opts.socketPath = testSocketPath("schedule");
+    Server server(opts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    Client client;
+    ASSERT_TRUE(client.connect(opts.socketPath, err)) << err;
+    for (const TortureJob &job : unschedulableJobs()) {
+        Response resp;
+        ASSERT_TRUE(client.call(Request(job), resp, err)) << err;
+        expectBadRequest(resp);
+        PingResult pong;
+        EXPECT_TRUE(client.ping(pong, err)) << err;
+    }
+    client.close();
+    server.stop();
+    EXPECT_EQ(server.stats().requests, unschedulableJobs().size());
 }
 
 TEST(Server, DrainsQueuedRequestsOnStop)

@@ -16,6 +16,7 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/firmware_linter.h"
@@ -722,6 +723,33 @@ TEST_F(SnapshotFork, NoSnapshotEnvForcesTheLegacyPathWithSameVerdicts)
     ASSERT_EQ(legacy.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         expectSameOutcome(ref[i], legacy[i], i);
+}
+
+TEST_F(SnapshotFork, RigsSharingOneGoldenRunGradeConcurrently)
+{
+    // Three campaigns over one immutable golden run, each from its own
+    // thread and pool: two share rig `a` (its memo and benches), the
+    // third runs on rig `b`.
+    const std::vector<fault::PowerKill> batch = kills();
+    const std::vector<fault::TortureOutcome> &ref = reference();
+    fault::TortureRig a(rig().golden());
+    fault::TortureRig b(rig().golden());
+    std::vector<std::vector<fault::TortureOutcome>> outs(3);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < outs.size(); ++t)
+        callers.emplace_back([&, t] {
+            util::ThreadPool pool(2);
+            outs[t] = (t < 2 ? a : b).runKills(batch, &pool);
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+    for (const std::vector<fault::TortureOutcome> &out : outs) {
+        ASSERT_EQ(out.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            expectSameOutcome(ref[i], out[i], i);
+    }
+    EXPECT_EQ(a.convergeStats().goldenSnapshots,
+              rig().convergeStats().goldenSnapshots);
 }
 
 TEST_F(SnapshotFork, StrideZeroDisablesForking)
