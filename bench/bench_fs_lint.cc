@@ -136,10 +136,11 @@ main()
                 "across all workloads\n",
                 static_cast<unsigned long long>(worstDynamicCommit));
 
-    // Fault-space pruning: the same kill campaign replayed in full and
-    // through the static injection-point map. Verdicts must be
-    // bit-identical; the pruned pass buys its speed from the replays
-    // the map proves redundant.
+    // Fault-space grouping: the same kill campaign graded through
+    // runKills() and through runKillsPruned(), which forwards to
+    // runKills' exact death-image grouping without consulting the
+    // static map. Verdicts must be bit-identical, and the grouping
+    // must skip kills that die with the same FRAM image.
     const soc::GuestProgram prunable = soc::makeCrc32Program(2048, 11);
     const analysis::LintReport prunableLint =
         analysis::lintGuestProgram(prunable);
@@ -218,7 +219,7 @@ main()
     bench::shapeCheck("pruned campaign verdicts identical to the "
                       "full campaign",
                       sameVerdicts && !fullOutcomes.empty());
-    bench::shapeCheck("pruning skipped statically-equivalent kills",
+    bench::shapeCheck("grouping skipped kills sharing a death image",
                       prune.skippedKills > 0);
 
     util::BenchReport report("bench_fs_lint");

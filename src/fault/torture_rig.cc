@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
+#include <cstring>
+#include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "core/failure_sentinels.h"
@@ -44,13 +46,13 @@ quickSeq(soc::Soc &s)
     return best;
 }
 
-/** Slot forensics at the instant power died. */
+/** Slot forensics on the FRAM image power died with. */
 void
-inspectSlots(const soc::Soc &sys, TortureOutcome &out)
+inspectSlots(const std::vector<std::uint8_t> &fram,
+             const soc::CheckpointLayout &layout, TortureOutcome &out)
 {
     for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
-        const auto info = soc::inspectCheckpointSlot(
-            sys.fram().data(), sys.layout(), slot);
+        const auto info = soc::inspectCheckpointSlot(fram, layout, slot);
         if (info.valid()) {
             ++out.validSlots;
             out.newestSeq = std::max(out.newestSeq, info.seq);
@@ -58,6 +60,15 @@ inspectSlots(const soc::Soc &sys, TortureOutcome &out)
             ++out.tornSlots;
         }
     }
+}
+
+/** Little-endian word at FRAM offset @p off (Ram::read's order). */
+std::uint32_t
+readWord(const std::vector<std::uint8_t> &fram, std::uint32_t off)
+{
+    return std::uint32_t(fram[off]) | std::uint32_t(fram[off + 1]) << 8 |
+           std::uint32_t(fram[off + 2]) << 16 |
+           std::uint32_t(fram[off + 3]) << 24;
 }
 
 bool
@@ -113,15 +124,21 @@ struct TortureBench {
 
 namespace {
 
+soc::CheckpointLayout
+layoutOf(const GoldenRun &g)
+{
+    soc::CheckpointLayout layout;
+    layout.sramSize = g.config.sramSize;
+    return layout;
+}
+
 std::unique_ptr<TortureBench>
 makeBench(const GoldenRun &g)
 {
     auto bench = std::make_unique<TortureBench>();
-    soc::CheckpointLayout layout;
-    layout.sramSize = g.config.sramSize;
     bench->soc = std::make_unique<soc::Soc>(
         sharedMonitor(), [v = bench->volts](double) { return *v; },
-        layout);
+        layoutOf(g));
     bench->soc->loadRuntime(g.threshold);
     bench->soc->loadGuest(g.prog);
     return bench;
@@ -188,12 +205,16 @@ instrument(GoldenRun &g)
     return GoldenError::kNone;
 }
 
+// One probe step per instruction of the schedule: keep it small.
+static_assert(sizeof(GoldenRun::ProbeStep) == 16, "ProbeStep grew");
+
 /**
  * The golden pass: replay runKill()'s exact schedule with no injector,
  * one step at a time (run() is documented bit-identical to the step
  * loop), so probeSteps[i] is precisely the i-th instruction every kill
- * run executes before its kill fires, and every snapshot lands on an
- * instruction boundary the kill runs also cross.
+ * run executes before its kill fires, writeLog holds every FRAM store
+ * those instructions make, and every snapshot lands on an instruction
+ * boundary the kill runs also cross.
  */
 void
 goldenPass(GoldenRun &g)
@@ -219,8 +240,7 @@ goldenPass(GoldenRun &g)
     g.snapshots.reserve(targets.size());
     std::size_t next_target = 0;
 
-    const auto maybe_capture = [&](std::size_t power_cycle, int phase_id,
-                                   std::uint64_t spent) {
+    const auto maybe_capture = [&] {
         if (next_target >= targets.size() ||
             sys.totalCycles() < targets[next_target])
             return;
@@ -230,46 +250,65 @@ goldenPass(GoldenRun &g)
         GoldenRun::Snapshot snap;
         snap.state = sys.saveSnapshot(
             g.snapshots.empty() ? nullptr : &g.snapshots.back().state);
-        snap.powerCycle = power_cycle;
-        snap.phase = phase_id;
-        snap.spentInPhase = spent;
+        snap.writes = std::uint32_t(g.writeLog.size());
         g.snapshots.push_back(std::move(snap));
     };
 
-    const auto phase = [&](std::size_t power_cycle, int phase_id,
-                           std::uint64_t budget) {
+    // Log every store the way Nvm::write sees it. A plain run installs
+    // no filter of its own (no injector, never restored), so this one
+    // stays in place for the whole pass; it never tears.
+    const std::vector<std::uint8_t> &fram = std::as_const(sys).fram().data();
+    sys.fram().setWriteFilter([&](std::uint32_t addr, std::uint32_t value,
+                                  unsigned bytes, unsigned &,
+                                  std::uint32_t &) {
+        FS_ASSERT(bytes <= 4, "FRAM store wider than a word");
+        GoldenRun::FramWrite w;
+        w.step = std::uint32_t(g.probeSteps.size());
+        w.addr = addr;
+        w.width = std::uint8_t(bytes);
+        for (unsigned i = 0; i < bytes; ++i) {
+            w.pre[i] = fram[addr + i];
+            w.post[i] = std::uint8_t(value >> (8 * i));
+        }
+        g.writeLog.push_back(w);
+        return false;
+    });
+
+    const auto phase = [&](std::uint64_t budget) {
         std::uint64_t spent = 0;
         while (!sys.hart().halted() && spent < budget) {
             GoldenRun::ProbeStep rec;
             rec.pcBefore = sys.hart().pc();
             const std::uint64_t before = sys.totalCycles();
-            const std::uint64_t writes = sys.fram().writeCount();
             sys.step();
             spent += sys.totalCycles() - before;
             rec.cycleAfter = sys.totalCycles();
-            rec.wrote = sys.fram().writeCount() != writes;
-            rec.bytesWritten = sys.fram().bytesWritten();
-            rec.finished = sys.appFinished();
+            rec.writeEnd = std::uint32_t(g.writeLog.size());
             g.probeSteps.push_back(rec);
-            maybe_capture(power_cycle, phase_id, spent);
+            maybe_capture();
         }
     };
     sys.powerOn();
-    maybe_capture(0, 0, 0); // boot snapshot at cycle 0
+    maybe_capture(); // boot snapshot at cycle 0
     for (std::size_t cycle = 0; cycle < config.maxPowerCycles; ++cycle) {
         *bench->volts = config.stableVolts;
-        phase(cycle, 0, config.stableCycles);
+        phase(config.stableCycles);
         if (sys.appFinished())
             break;
         *bench->volts = g.vCkpt - 0.02;
-        phase(cycle, 1, config.lowCycles);
+        phase(config.lowCycles);
         if (sys.appFinished())
             break;
         sys.powerFail();
         sys.powerOn();
     }
+    sys.fram().setWriteFilter(nullptr);
     // instrument() already saw this exact schedule finish.
     FS_ASSERT(sys.appFinished(), "probe schedule never finished the app");
+    // Step and store indices are 32-bit; ProbeStep stays 16 bytes.
+    FS_ASSERT(g.probeSteps.size() < (std::uint64_t(1) << 32) &&
+                  g.writeLog.size() < (std::uint64_t(1) << 32),
+              "golden run too long to index");
 }
 
 } // namespace
@@ -323,7 +362,7 @@ std::unique_ptr<TortureBench>
 TortureRig::acquireBench()
 {
     {
-        std::lock_guard<std::mutex> lock(bench_mu_);
+        std::lock_guard<std::mutex> lock(pool_mu_);
         if (!bench_pool_.empty()) {
             auto bench = std::move(bench_pool_.back());
             bench_pool_.pop_back();
@@ -336,7 +375,7 @@ TortureRig::acquireBench()
 void
 TortureRig::releaseBench(std::unique_ptr<TortureBench> bench)
 {
-    std::lock_guard<std::mutex> lock(bench_mu_);
+    std::lock_guard<std::mutex> lock(pool_mu_);
     bench_pool_.push_back(std::move(bench));
 }
 
@@ -384,7 +423,7 @@ TortureRig::runKill(const PowerKill &kill) const
 
     out.killed = sys.faultKilled();
     out.killTore = injector.log().killTears > 0;
-    inspectSlots(sys, out);
+    inspectSlots(std::as_const(sys).fram().data(), sys.layout(), out);
 
     if (out.killed) {
         out.coldRestart = out.validSlots == 0;
@@ -398,135 +437,258 @@ TortureRig::runKill(const PowerKill &kill) const
     return out;
 }
 
-std::vector<TortureOutcome>
-TortureRig::runKills(const std::vector<PowerKill> &kills,
-                     util::ThreadPool *pool)
-{
-    util::ThreadPool &p = pool ? *pool : util::ThreadPool::shared();
-    if (snapshotsActive())
-        return p.parallelMap(kills.size(), [&](std::size_t i) {
-            return runKillForked(kills[i]);
-        });
-    return p.parallelMap(kills.size(), [&](std::size_t i) {
-        return runKill(kills[i]);
-    });
-}
-
-const GoldenRun::Snapshot &
-TortureRig::snapshotBefore(std::uint64_t kill_cycle) const
-{
-    // Strictly before: a snapshot taken at exactly kill_cycle already
-    // executed the instruction the kill fires at the end of (kills
-    // are polled after each step), so forking there would miss it.
-    const std::vector<GoldenRun::Snapshot> &snaps = golden_->snapshots;
-    const auto it = std::lower_bound(
-        snaps.begin(), snaps.end(), kill_cycle,
-        [](const GoldenRun::Snapshot &g, std::uint64_t c) {
-            return g.state.totalCycles < c;
-        });
-    if (it == snaps.begin())
-        return snaps.front(); // boot snapshot (cycle 0)
-    return *(it - 1);
-}
-
-std::vector<GoldenRun::ProbeStep>::const_iterator
-TortureRig::probeStepAt(std::uint64_t kill_cycle) const
+std::size_t
+GoldenRun::stepAt(std::uint64_t kill_cycle) const
 {
     // The kill fires at the end of the first step whose cycle counter
     // reaches kill_cycle (Soc::step polls killDue after executing).
-    const std::vector<GoldenRun::ProbeStep> &steps = golden_->probeSteps;
-    return std::lower_bound(steps.begin(), steps.end(), kill_cycle,
-                            [](const GoldenRun::ProbeStep &s,
-                               std::uint64_t c) {
-                                return s.cycleAfter < c;
-                            });
+    return std::size_t(
+        std::lower_bound(probeSteps.begin(), probeSteps.end(), kill_cycle,
+                         [](const ProbeStep &s, std::uint64_t c) {
+                             return s.cycleAfter < c;
+                         }) -
+        probeSteps.begin());
 }
 
-TortureOutcome
-TortureRig::runKillForked(const PowerKill &kill)
-{
-    const TortureConfig &config = golden_->config;
-    auto bench = acquireBench();
-    soc::Soc &sys = *bench->soc;
+/**
+ * What a kill's outcome depends on: the FRAM it dies with, named by
+ * its place in the golden run, and whether the app had finished.
+ */
+struct TortureRig::DeathImage {
+    static constexpr std::uint8_t kUntorn = 0xFF;
 
-    FaultPlan plan;
-    plan.kills.push_back(kill);
-    FaultInjector injector(plan);
+    bool killed = true;  ///< false: the schedule finishes first
+    /** Golden stores landed; a torn kill tears the last of them. */
+    std::uint32_t writes = 0;
+    bool finished = false;            ///< app finished on the kill step
+    std::uint8_t tearKept = kUntorn;  ///< bytes of the torn store kept
+    std::uint32_t tearFlip = 0;       ///< noise on its torn lanes only
+    /** The killing step wrote FRAM. Accounting only: not part of the
+     *  id (an untorn store lands like any other). */
+    bool wrote = false;
 
-    const GoldenRun::Snapshot &snap = snapshotBefore(kill.cycle);
-    sys.restoreSnapshot(snap.state);
-    // Attaching the injector after the restore is exact: a kill-only
-    // plan's write filter never tears (it only advances a cursor no
-    // kill consults) and the kill poll compares absolute cycles, so
-    // the pre-kill trajectory is untouched either way -- the same
-    // invariant the fault-free probe replay rests on.
-    sys.setFaultInjector(&injector);
+    bool torn() const { return tearKept != kUntorn; }
+    auto id() const
+    {
+        return std::tie(killed, writes, finished, tearKept, tearFlip);
+    }
+};
 
-    for (std::size_t cycle = snap.powerCycle;
-         cycle < config.maxPowerCycles; ++cycle) {
-        const bool resuming = cycle == snap.powerCycle;
-        if (!resuming || snap.phase == 0) {
-            const std::uint64_t spent =
-                resuming && snap.phase == 0 ? snap.spentInPhase : 0;
-            *bench->volts = config.stableVolts;
-            sys.run(config.stableCycles -
-                    std::min(config.stableCycles, spent));
-            if (sys.appFinished() || sys.faultKilled())
-                break;
+/**
+ * A reusable FRAM buffer that rebuilds death images by delta: it
+ * equals the golden image `base` outside the pages in `dirty`.
+ */
+struct TortureRig::ImageBuffer {
+    std::vector<std::uint8_t> mem;
+    const soc::PagedImage *base = nullptr;
+    soc::DirtyPages dirty;
+
+    /** Make mem equal @p image, copying only pages that differ. */
+    void
+    moveTo(const soc::PagedImage &image)
+    {
+        const auto &pages = image.pages();
+        if (!base) {
+            mem.resize(image.size());
+            image.restore(mem);
+            dirty.reset(pages.size());
+        } else {
+            const auto &held = base->pages();
+            for (std::size_t p = 0; p < pages.size(); ++p)
+                if (dirty.contains(p) || held[p] != pages[p])
+                    std::memcpy(mem.data() + p * soc::PagedImage::kPageBytes,
+                                pages[p]->data(), pages[p]->size());
+            dirty.clear();
         }
-        const std::uint64_t spent =
-            resuming && snap.phase == 1 ? snap.spentInPhase : 0;
-        *bench->volts = golden_->vCkpt - 0.02;
-        sys.run(config.lowCycles - std::min(config.lowCycles, spent));
-        if (sys.appFinished() || sys.faultKilled())
-            break;
-        sys.powerFail();
-        sys.powerOn();
+        base = &image;
     }
 
-    TortureOutcome out = finishOutcome(*bench, injector, snap.state);
-    sys.setFaultInjector(nullptr);
-    releaseBench(std::move(bench));
+    void
+    put(std::uint32_t addr, std::uint8_t byte)
+    {
+        mem[addr] = byte;
+        dirty.mark(addr / soc::PagedImage::kPageBytes);
+    }
+
+    /**
+     * Rebuild @p death: the nearest golden image at or before its
+     * store count, the logged stores since, then the tear. Returns the
+     * golden snapshot it started from.
+     */
+    const GoldenRun::Snapshot &
+    materialise(const GoldenRun &g, const DeathImage &death)
+    {
+        const auto it = std::upper_bound(
+            g.snapshots.begin(), g.snapshots.end(), death.writes,
+            [](std::uint32_t w, const GoldenRun::Snapshot &s) {
+                return w < s.writes;
+            });
+        // The boot snapshot holds zero stores, so `it` is past it.
+        const GoldenRun::Snapshot &from = *(it - 1);
+        moveTo(from.state.fram);
+        for (std::uint32_t j = from.writes; j < death.writes; ++j) {
+            const GoldenRun::FramWrite &w = g.writeLog[j];
+            for (unsigned i = 0; i < w.width; ++i)
+                put(w.addr + i, w.post[i]);
+        }
+        if (death.torn()) {
+            // Nvm::tearLastWrite: the kept prefix lands, the rest
+            // reverts to its old bytes XORed with the flip lanes.
+            const GoldenRun::FramWrite &w = g.writeLog[death.writes - 1];
+            for (unsigned i = death.tearKept; i < w.width; ++i)
+                put(w.addr + i, std::uint8_t(w.pre[i] ^
+                                             (death.tearFlip >> (8 * i))));
+        }
+        return from;
+    }
+};
+
+std::unique_ptr<TortureRig::ImageBuffer>
+TortureRig::acquireBuffer()
+{
+    {
+        std::lock_guard<std::mutex> lock(pool_mu_);
+        if (!buffer_pool_.empty()) {
+            auto buffer = std::move(buffer_pool_.back());
+            buffer_pool_.pop_back();
+            return buffer;
+        }
+    }
+    return std::make_unique<ImageBuffer>();
+}
+
+void
+TortureRig::releaseBuffer(std::unique_ptr<ImageBuffer> buffer)
+{
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    buffer_pool_.push_back(std::move(buffer));
+}
+
+TortureRig::DeathImage
+TortureRig::deathImageOf(const PowerKill &kill) const
+{
+    const GoldenRun &g = *golden_;
+    DeathImage d;
+    const std::size_t step = g.stepAt(kill.cycle);
+    if (step == g.probeSteps.size()) {
+        d.killed = false;
+        d.writes = std::uint32_t(g.writeLog.size());
+        d.finished = true;
+        return d;
+    }
+    d.writes = g.probeSteps[step].writeEnd;
+    d.finished = step + 1 == g.probeSteps.size();
+    d.wrote = g.stepWrote(step);
+    if (d.wrote) {
+        // Soc::step tears the killing step's last store, and only
+        // when fewer bytes are kept than it stored.
+        const GoldenRun::FramWrite &w = g.writeLog[d.writes - 1];
+        if (kill.tearBytesKept < w.width) {
+            d.tearKept = std::uint8_t(kill.tearBytesKept);
+            for (unsigned i = kill.tearBytesKept; i < w.width; ++i)
+                d.tearFlip |= kill.tearFlipMask & (0xFFu << (8 * i));
+        }
+    }
+    return d;
+}
+
+std::vector<TortureOutcome>
+TortureRig::runKills(const std::vector<PowerKill> &kills,
+                     util::ThreadPool *pool, PruneStats *stats)
+{
+    util::ThreadPool &p = pool ? *pool : util::ThreadPool::shared();
+    const std::size_t n = kills.size();
+    std::vector<DeathImage> deaths(n);
+    p.parallelFor(n, [&](std::size_t i) {
+        deaths[i] = deathImageOf(kills[i]);
+    });
+
+    // Group kills by death image (each kill alone with convergence
+    // off); rep[k] is the kill graded for group k.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    if (converge_on_)
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return deaths[a].id() < deaths[b].id();
+                         });
+    std::vector<std::size_t> rep;
+    std::vector<std::size_t> group(n);
+    for (const std::size_t i : order) {
+        if (rep.empty() || !converge_on_ ||
+            deaths[rep.back()].id() != deaths[i].id())
+            rep.push_back(i);
+        group[i] = rep.size() - 1;
+    }
+
+    const bool from_log = snapshotsActive();
+    if (stats) {
+        PruneStats st;
+        st.totalKills = n;
+        st.executedKills = from_log ? rep.size() : n;
+        st.skippedKills = n - st.executedKills;
+        for (const DeathImage &d : deaths) {
+            st.vulnerableKills += d.wrote ? 1 : 0;
+            st.neverFires += d.killed ? 0 : 1;
+        }
+        *stats = st;
+    }
+    if (!from_log)
+        return p.parallelMap(n, [&](std::size_t i) {
+            return runKill(kills[i]);
+        });
+
+    const std::vector<TortureOutcome> graded =
+        p.parallelMap(rep.size(), [&](std::size_t k) {
+            return gradeImage(deaths[rep[k]]);
+        });
+    std::vector<TortureOutcome> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = graded[group[i]];
     return out;
 }
 
-TortureOutcome
-TortureRig::finishOutcome(TortureBench &bench, FaultInjector &injector,
-                          const soc::Snapshot &fork)
+std::vector<TortureOutcome>
+TortureRig::runKillsPruned(const std::vector<PowerKill> &kills,
+                           const InjectionPointMap &,
+                           util::ThreadPool *pool, PruneStats *stats)
 {
-    const soc::GuestProgram &prog = golden_->prog;
-    const TortureConfig &config = golden_->config;
-    soc::Soc &sys = *bench.soc;
-    TortureOutcome out;
-    out.killed = sys.faultKilled();
-    out.killTore = injector.log().killTears > 0;
-    inspectSlots(sys, out);
+    return runKills(kills, pool, stats);
+}
 
-    if (!out.killed) {
-        out.finished = sys.appFinished();
-        out.result = out.finished ? sys.guestResult(prog) : 0;
-        out.resultCorrect = out.finished && out.result == prog.expected;
+TortureOutcome
+TortureRig::gradeImage(const DeathImage &death)
+{
+    const GoldenRun &g = *golden_;
+    auto buffer = acquireBuffer();
+    const GoldenRun::Snapshot &from = buffer->materialise(g, death);
+    const std::vector<std::uint8_t> &fram = buffer->mem;
+    const soc::PagedImage &base = from.state.fram;
+
+    TortureOutcome out;
+    out.killed = death.killed;
+    out.killTore = death.torn();
+    inspectSlots(fram, layoutOf(g), out);
+    if (!death.killed) {
+        // The fault-free run: its final FRAM holds the answer.
+        out.finished = true;
+        out.result = readWord(fram, g.prog.resultAddr - layoutOf(g).framBase);
+        out.resultCorrect = out.result == g.prog.expected;
+        releaseBuffer(std::move(buffer));
         return out;
     }
-
     out.coldRestart = out.validSlots == 0;
-    if (converge_on_) {
-        // Convergence early-exit: power loss wiped all volatile
-        // state and recovery runs on stable power, so the recovery
-        // verdict is a pure function of the FRAM image at death
-        // (runKillsPruned()'s documented invariant). Serve repeats
-        // from the memo. FRAM still equals the fork snapshot outside
-        // the pages the replay dirtied, so keying, verifying and
-        // capturing the death image touch only those pages; the
-        // byte-exact check makes a key collision degrade to a miss,
-        // never a wrong verdict.
-        FS_ASSERT(sys.framDirtyTracked(),
-                  "forked FRAM changed behind the write filter");
-        const std::vector<std::uint8_t> &fram =
-            std::as_const(sys).fram().data();
-        const soc::DirtyPages &dirty = sys.framDirtyPages();
-        const std::uint64_t key =
-            soc::PagedImage::keyOf(fram, fork.fram, dirty);
+
+    // Power loss wiped all volatile state and recovery runs on stable
+    // power, so the recovery verdict is a pure function of the FRAM
+    // image -- and of the app-finished flag, which only the last
+    // golden step sets, so that one image is never memoized. The
+    // byte-exact check makes a key collision degrade to a miss, never
+    // a wrong verdict.
+    const bool memoize = converge_on_ && !death.finished;
+    std::uint64_t key = 0;
+    if (memoize) {
+        key = soc::PagedImage::keyOf(fram, base, buffer->dirty);
         const RecoveryMemo *cached = nullptr;
         {
             std::lock_guard<std::mutex> lock(memo_mu_);
@@ -536,50 +698,64 @@ TortureRig::finishOutcome(TortureBench &bench, FaultInjector &injector,
         }
         // Entries are immutable and never erased, and map nodes do not
         // move, so the check can run outside the lock.
-        if (cached && cached->image.matches(fram, fork.fram, dirty)) {
+        if (cached && cached->image.matches(fram, base, buffer->dirty)) {
             memo_hits_.fetch_add(1, std::memory_order_relaxed);
+            releaseBuffer(std::move(buffer));
             out.finished = cached->finished;
             out.result = cached->result;
             out.resultCorrect =
-                out.finished && out.result == prog.expected;
+                out.finished && out.result == g.prog.expected;
             return out;
         }
-        RecoveryMemo memo;
-        memo.image.captureDirty(fram, fork.fram, dirty);
-        *bench.volts = config.stableVolts;
-        sys.powerOn();
-        sys.run(config.recoveryCycles);
-        memo.finished = sys.appFinished();
-        memo.result = memo.finished ? sys.guestResult(prog) : 0;
-        out.finished = memo.finished;
-        out.result = memo.result;
-        out.resultCorrect = out.finished && out.result == prog.expected;
-        {
-            // emplace keeps the first entry on a race: both racers
-            // computed the same deterministic verdict anyway.
-            std::lock_guard<std::mutex> lock(memo_mu_);
-            memo_.emplace(key, std::move(memo));
-        }
-        return out;
     }
 
-    *bench.volts = config.stableVolts;
-    sys.powerOn();
-    sys.run(config.recoveryCycles);
-    out.finished = sys.appFinished();
-    out.result = out.finished ? sys.guestResult(prog) : 0;
-    out.resultCorrect = out.finished && out.result == prog.expected;
+    RecoveryMemo memo;
+    memo.image.captureDirty(fram, base, buffer->dirty);
+    releaseBuffer(std::move(buffer));
+    recover(from, death.finished, memo);
+    out.finished = memo.finished;
+    out.result = memo.result;
+    out.resultCorrect = out.finished && out.result == g.prog.expected;
+    if (memoize) {
+        // emplace keeps the first entry on a race: both racers
+        // computed the same deterministic verdict anyway.
+        std::lock_guard<std::mutex> lock(memo_mu_);
+        memo_.emplace(key, std::move(memo));
+    }
     return out;
+}
+
+void
+TortureRig::recover(const GoldenRun::Snapshot &from, bool finished,
+                    RecoveryMemo &memo)
+{
+    const GoldenRun &g = *golden_;
+    auto bench = acquireBench();
+    soc::Soc &sys = *bench->soc;
+    // The golden state the image was rebuilt from, with the death
+    // image in FRAM: a delta restore, since both share most pages.
+    soc::Snapshot death = from.state;
+    death.fram = memo.image;
+    death.appFinished = finished;
+    sys.restoreSnapshot(death);
+    sys.powerFail();
+    *bench->volts = g.config.stableVolts;
+    sys.powerOn();
+    sys.run(g.config.recoveryCycles);
+    memo.finished = sys.appFinished();
+    memo.result = memo.finished ? sys.guestResult(g.prog) : 0;
+    releaseBench(std::move(bench));
 }
 
 std::vector<std::uint32_t>
 TortureRig::killSitePcs(const std::vector<PowerKill> &kills) const
 {
+    const GoldenRun &g = *golden_;
     std::vector<std::uint32_t> pcs(kills.size(), kNoKillSite);
     for (std::size_t i = 0; i < kills.size(); ++i) {
-        const auto it = probeStepAt(kills[i].cycle);
-        if (it != golden_->probeSteps.end())
-            pcs[i] = it->pcBefore;
+        const std::size_t step = g.stepAt(kills[i].cycle);
+        if (step < g.probeSteps.size())
+            pcs[i] = g.probeSteps[step].pcBefore;
     }
     return pcs;
 }
@@ -608,71 +784,6 @@ TortureRig::snapshotMemoryBytes() const
     for (const auto &entry : memo_)
         images.push_back(&entry.second.image);
     return soc::distinctPageBytes(images);
-}
-
-std::vector<TortureOutcome>
-TortureRig::runKillsPruned(const std::vector<PowerKill> &kills,
-                           const InjectionPointMap &map,
-                           util::ThreadPool *pool, PruneStats *stats)
-{
-    PruneStats st;
-    st.totalKills = kills.size();
-
-    // Slot i of `exec` is the kills[] index replayed for group i;
-    // outcome_slot maps every input kill to its group's slot.
-    std::vector<std::size_t> exec;
-    std::vector<std::size_t> outcome_slot(kills.size(), 0);
-    std::map<std::pair<std::uint64_t, bool>, std::size_t> groups;
-    bool have_clean = false;
-    std::size_t clean_slot = 0;
-
-    for (std::size_t i = 0; i < kills.size(); ++i) {
-        const auto it = probeStepAt(kills[i].cycle);
-        if (it == golden_->probeSteps.end()) {
-            // Never fires: every such kill replays the fault-free
-            // schedule; one representative covers them all.
-            ++st.neverFires;
-            if (!have_clean) {
-                have_clean = true;
-                clean_slot = exec.size();
-                exec.push_back(i);
-            } else {
-                ++st.skippedKills;
-            }
-            outcome_slot[i] = clean_slot;
-            continue;
-        }
-        if (it->wrote || !map.prunable(it->pcBefore)) {
-            // The killing instruction may mutate FRAM (statically
-            // vulnerable, unmapped, or dynamically observed writing):
-            // always replay it.
-            ++st.vulnerableKills;
-            outcome_slot[i] = exec.size();
-            exec.push_back(i);
-            continue;
-        }
-        const auto key = std::make_pair(it->bytesWritten, it->finished);
-        const auto ins = groups.emplace(key, exec.size());
-        if (ins.second)
-            exec.push_back(i);
-        else
-            ++st.skippedKills;
-        outcome_slot[i] = ins.first->second;
-    }
-    st.executedKills = exec.size();
-
-    std::vector<PowerKill> replayed;
-    replayed.reserve(exec.size());
-    for (const std::size_t idx : exec)
-        replayed.push_back(kills[idx]);
-    const std::vector<TortureOutcome> outs = runKills(replayed, pool);
-
-    std::vector<TortureOutcome> result(kills.size());
-    for (std::size_t i = 0; i < kills.size(); ++i)
-        result[i] = outs[outcome_slot[i]];
-    if (stats)
-        *stats = st;
-    return result;
 }
 
 } // namespace fault

@@ -13,49 +13,57 @@
  * final answer against its oracle. Tests and benches sweep kills
  * across commit windows and random execution points with it.
  *
- * Campaigns (runKills) use snapshot forking by default: one golden
- * pass captures copy-on-write soc::Snapshot images at every commit
- * window boundary plus a fixed cycle stride, each kill resumes from
- * the nearest snapshot strictly before its cycle instead of from
- * boot, and post-kill recoveries are memoized by the FRAM image at
- * death (power loss wipes all volatile state and recovery runs on
- * stable power, so the recovery outcome is a pure function of that
- * image -- the same invariant runKillsPruned() already rests on; a
- * byte-exact image comparison guards every memo hit, so key
- * collisions cannot leak a wrong verdict). Verdicts are bit-identical
- * to replay-from-boot at any thread count. FS_NO_SNAPSHOT=1 forces
- * the legacy from-boot replay; it is read on every runKills() call.
- * FS_SNAPSHOT_STRIDE overrides the capture stride; it is read when a
- * golden run is built, and 0 also disables forking.
- *
- * A forked kill costs O(FRAM pages its replay wrote), not O(FRAM):
- * benches are recycled SoCs whose delta restore copies only pages
- * that differ from what they hold and keeps translated code; the
- * death image's memo key is the fork snapshot's key corrected for the
- * dirty pages; and the memo check compares only pages that are dirty
- * or not shared with the fork snapshot (see soc/snapshot.h).
+ * Campaigns (runKills) grade from the golden run instead of replaying
+ * anything before the kill. Until its kill fires, a kill run *is* the
+ * fault-free run, and the kill only tears the killing instruction's
+ * last FRAM store (Soc::step). Power loss wipes all volatile state and
+ * recovery runs on stable power, so a kill's whole outcome is a pure
+ * function of its death image: the golden FRAM after the killing
+ * step, with that step's last store torn by (tearBytesKept,
+ * tearFlipMask) when the step wrote FRAM. The golden pass logs every
+ * FRAM store (GoldenRun::writeLog), so each kill maps to an exact
+ * death-image id -- the count of golden stores that landed, plus the
+ * torn byte lanes for a kill that tears. Kills are grouped by id and
+ * each distinct id is graded once: its image is rebuilt from the
+ * nearest golden FRAM image plus the logged stores plus the tear, its
+ * slots are inspected, and its recovery verdict comes from a memo
+ * keyed by the image's content (a byte-exact comparison guards every
+ * hit, so key collisions cannot leak a wrong verdict). Only a memo
+ * miss loads the image into a SoC and runs the recovery. Verdicts are
+ * bit-identical to replay-from-boot at any thread count.
+ * FS_NO_SNAPSHOT=1 forces the from-boot replay; it is read on every
+ * runKills() call. FS_SNAPSHOT_STRIDE overrides the golden capture
+ * stride; it is read when a golden run is built, and 0 also selects
+ * the from-boot replay.
  *
  * Cost model. Everything that depends only on (program, config) lives
  * in a GoldenRun: the instrumented pass that finds the commit windows
  * and the single-stepped golden pass that records the probe steps and
- * captures the golden snapshots. It is built once, in one call, and
- * shared by every rig of a campaign (serve::Engine keeps the latest
- * one for exhaustive point-range shards). A TortureRig owns only
- * per-campaign state: the recovery memo, the bench pool and the
- * convergence flag. The voltage monitor every SoC samples is enrolled
- * once per process and shared by all rigs.
+ * the FRAM write log and captures the golden snapshots. It is built
+ * once and shared by every rig of a campaign (serve::Engine keeps the
+ * latest one for exhaustive point-range shards). A campaign then costs
+ * one binary search over the probe steps per kill, plus per distinct
+ * death image: O(FRAM pages) pointer compares and O(dirty pages)
+ * copies to rebuild it, a few logged stores, slot forensics, and a
+ * memo probe that touches only the dirty pages -- and, on a miss, one
+ * recovery run from power-on on a recycled SoC. No ISS instruction
+ * before a kill runs again. A TortureRig owns only per-campaign state:
+ * the recovery memo, the SoC and image pools, and the convergence
+ * flag. The voltage monitor every SoC samples is enrolled once per
+ * process and shared by all rigs.
  *
  * Concurrency contract. A GoldenRun is immutable once built; any
  * number of threads and rigs may read it at once. runKill() and the
  * golden-run accessors are const and safe from any thread.
  * runKills()/runKillsPruned() may be called from several threads at
  * once, on one rig or on rigs sharing a golden run: the memo and the
- * bench pool are locked. setConvergenceEnabled() must not race them.
+ * pools are locked. setConvergenceEnabled() must not race them.
  */
 
 #ifndef FS_FAULT_TORTURE_RIG_H_
 #define FS_FAULT_TORTURE_RIG_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -74,8 +82,6 @@ class ThreadPool;
 } // namespace util
 
 namespace fault {
-
-class FaultInjector;
 
 /** Knobs for the deterministic power schedule. */
 struct TortureConfig {
@@ -102,22 +108,22 @@ struct CommitWindow {
     std::uint64_t length() const { return end - begin; }
 };
 
-/** Accounting for one statically pruned kill campaign. */
+/** Accounting for one campaign's grouping by death image. */
 struct PruneStats {
     std::size_t totalKills = 0;
-    std::size_t executedKills = 0;   ///< kills actually replayed
-    std::size_t skippedKills = 0;    ///< copied from a representative
-    std::size_t vulnerableKills = 0; ///< replay forced by the map
+    std::size_t executedKills = 0;   ///< distinct death images graded
+    std::size_t skippedKills = 0;    ///< copied from a same-image kill
+    std::size_t vulnerableKills = 0; ///< killing step wrote FRAM
     std::size_t neverFires = 0;      ///< kill cycle beyond app finish
 };
 
-/** Accounting for the snapshot-fork / convergence machinery. */
+/** Accounting for the golden-run / convergence machinery. */
 struct ConvergeStats {
     std::size_t goldenSnapshots = 0; ///< snapshots along the golden run
     std::size_t memoEntries = 0;     ///< distinct death images recovered
-    /** Recoveries served from the memo. Deterministic verdicts, but
-     *  the count itself can undershoot under concurrency (two threads
-     *  racing the same cold image both execute the recovery). */
+    /** Graded death images served from the memo. Deterministic
+     *  verdicts, but the count itself can undershoot under concurrency
+     *  (two threads racing the same cold image both run the recovery). */
     std::size_t memoHits = 0;
 };
 
@@ -152,26 +158,33 @@ const char *goldenErrorMessage(GoldenError error);
  * never mutated, so it is shared as shared_ptr<const GoldenRun>.
  */
 struct GoldenRun {
-    /** One instruction of the fault-free schedule, as a kill target. */
+    /**
+     * One instruction of the fault-free schedule, as a kill target.
+     * The app finishes on the last step and on no other.
+     */
     struct ProbeStep {
-        std::uint64_t cycleAfter = 0;   ///< totalCycles after the step
-        std::uint32_t pcBefore = 0;     ///< instruction that executed
-        bool wrote = false;             ///< FRAM write during the step
-        bool finished = false;          ///< app done after the step
-        std::uint64_t bytesWritten = 0; ///< cumulative FRAM bytes
+        std::uint64_t cycleAfter = 0; ///< totalCycles after the step
+        std::uint32_t pcBefore = 0;   ///< instruction that executed
+        std::uint32_t writeEnd = 0;   ///< writeLog entries after the step
+    };
+
+    /** One FRAM store of the fault-free schedule. */
+    struct FramWrite {
+        std::uint32_t step = 0;  ///< index of the probe step storing
+        std::uint32_t addr = 0;  ///< FRAM offset of the first byte
+        std::uint8_t width = 0;  ///< bytes stored (1, 2 or 4)
+        std::array<std::uint8_t, 4> pre{};  ///< bytes before the store
+        std::array<std::uint8_t, 4> post{}; ///< bytes it stored
     };
 
     /**
-     * A golden-run snapshot plus its schedule coordinates: the power
-     * cycle's loop index, which phase was running (0 = stable, 1 =
-     * brown-out), and the cycles that phase had already consumed --
-     * enough to resume the phase loop with the remaining budget.
+     * A golden-run snapshot plus the count of writeLog entries that
+     * had landed when it was captured: its FRAM is the boot image
+     * with exactly those stores applied.
      */
     struct Snapshot {
         soc::Snapshot state;
-        std::size_t powerCycle = 0;
-        int phase = 0;
-        std::uint64_t spentInPhase = 0;
+        std::uint32_t writes = 0;
     };
 
     /**
@@ -193,7 +206,22 @@ struct GoldenRun {
     std::uint64_t cleanCycles = 0;
     std::vector<CommitWindow> windows;
     std::vector<ProbeStep> probeSteps;
+    std::vector<FramWrite> writeLog; ///< every FRAM store, in order
     std::vector<Snapshot> snapshots; ///< sorted by totalCycles
+
+    /**
+     * Index of the probe step a kill at @p kill_cycle fires at the end
+     * of, or probeSteps.size() when the schedule finishes first.
+     */
+    std::size_t stepAt(std::uint64_t kill_cycle) const;
+
+    /** True when probe step @p step stored to FRAM: the only steps a
+     *  kill can tear. */
+    bool stepWrote(std::size_t step) const
+    {
+        return probeSteps[step].writeEnd >
+               (step == 0 ? 0 : probeSteps[step - 1].writeEnd);
+    }
 };
 
 /** The snapshot stride a GoldenRun built now would use. */
@@ -234,34 +262,22 @@ class TortureRig
 
     /**
      * Run a batch of kills across a thread pool (null = shared pool),
-     * returning outcomes in input order. By default each kill forks
-     * from the nearest golden snapshot and recoveries hit the
-     * convergence memo; with FS_NO_SNAPSHOT=1 (or stride 0) every
-     * kill replays from boot. Either way the outcomes are
-     * bit-identical to calling runKill() sequentially, at any thread
-     * count.
+     * returning outcomes in input order. By default kills are grouped
+     * by death image and each distinct image is graded once from the
+     * golden write log (see the file comment); with FS_NO_SNAPSHOT=1
+     * (or stride 0) every kill replays from boot. Either way the
+     * outcomes are bit-identical to calling runKill() sequentially,
+     * at any thread count. @p stats, when given, receives the
+     * grouping's accounting.
      */
     std::vector<TortureOutcome>
     runKills(const std::vector<PowerKill> &kills,
-             util::ThreadPool *pool = nullptr);
+             util::ThreadPool *pool = nullptr, PruneStats *stats = nullptr);
 
     /**
-     * runKills() with static fault-space pruning: kills landing on
-     * instructions the injection-point map proves non-vulnerable are
-     * grouped by the FRAM state at death and only one representative
-     * per group is replayed; the rest copy its outcome.
-     *
-     * Soundness: a pruned kill never tears (the killing instruction
-     * wrote no NVM -- checked dynamically against the golden run's
-     * probe steps, not just statically), power loss wipes all
-     * volatile state, and recovery runs on stable power, so the
-     * outcome is a pure function of the FRAM image at death. Two
-     * pruned kills with the same cumulative FRAM byte-write count die
-     * with byte-identical FRAM (they share the fault-free prefix), so
-     * their outcomes are equal. Kills whose cycle the schedule never
-     * reaches collapse into one fault-free replay. Outcomes are
-     * returned in input order and are bit-identical to runKills() at
-     * any thread count.
+     * runKills(), kept for callers that still pass a static
+     * injection-point map. The write-log grouping is exact, so the map
+     * is not consulted; @p stats reports that grouping.
      */
     std::vector<TortureOutcome>
     runKillsPruned(const std::vector<PowerKill> &kills,
@@ -277,12 +293,15 @@ class TortureRig
     std::vector<std::uint32_t>
     killSitePcs(const std::vector<PowerKill> &kills) const;
 
-    /** Toggle recovery memoization (on by default). Off still forks
-     *  from snapshots; every recovery then executes in full. */
+    /** Toggle convergence (on by default): grouping kills by death
+     *  image and memoizing recoveries. Off still grades from the write
+     *  log, but every kill rebuilds its own image and runs its own
+     *  recovery. */
     void setConvergenceEnabled(bool on) { converge_on_ = on; }
 
-    /** True when runKills() will fork from snapshots: FS_NO_SNAPSHOT
-     *  is unset and the stride resolved now is non-zero. */
+    /** True when runKills() will grade from the golden run:
+     *  FS_NO_SNAPSHOT is unset and the stride resolved now is
+     *  non-zero. */
     bool snapshotsActive() const;
 
     /** Snapshot-fork accounting (see ConvergeStats). */
@@ -313,15 +332,17 @@ class TortureRig
         std::uint32_t result = 0;
     };
 
+    struct DeathImage;
+    struct ImageBuffer;
+
     std::unique_ptr<TortureBench> acquireBench();
     void releaseBench(std::unique_ptr<TortureBench> bench);
-    const GoldenRun::Snapshot &snapshotBefore(std::uint64_t kill_cycle) const;
-    std::vector<GoldenRun::ProbeStep>::const_iterator
-    probeStepAt(std::uint64_t kill_cycle) const;
-    TortureOutcome runKillForked(const PowerKill &kill);
-    TortureOutcome finishOutcome(TortureBench &bench,
-                                 FaultInjector &injector,
-                                 const soc::Snapshot &fork);
+    std::unique_ptr<ImageBuffer> acquireBuffer();
+    void releaseBuffer(std::unique_ptr<ImageBuffer> buffer);
+    DeathImage deathImageOf(const PowerKill &kill) const;
+    TortureOutcome gradeImage(const DeathImage &death);
+    void recover(const GoldenRun::Snapshot &from, bool finished,
+                 RecoveryMemo &memo);
 
     std::shared_ptr<const GoldenRun> golden_;
 
@@ -332,9 +353,11 @@ class TortureRig
 
     /** Recycled SoCs: restoreSnapshot leaves every byte of state equal
      *  to the snapshot, so a reused bench is indistinguishable from a
-     *  fresh one -- and its restores are deltas. */
-    std::mutex bench_mu_;
+     *  fresh one -- and its restores are deltas. Recycled image
+     *  buffers likewise rebuild a death image by delta. */
+    std::mutex pool_mu_;
     std::vector<std::unique_ptr<TortureBench>> bench_pool_;
+    std::vector<std::unique_ptr<ImageBuffer>> buffer_pool_;
 };
 
 } // namespace fault

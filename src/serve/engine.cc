@@ -273,11 +273,21 @@ Engine::executeTorture(const TortureJob &job) const
         return badRequest("kill budget too large (> 1e5)");
     if (job.exhaustivePoints > 100'000'000)
         return badRequest("exhaustive campaign too large (> 1e8)");
+    // Compared term by term so no product can overflow.
+    const std::uint64_t power_cycles = tortureConfig(job).maxPowerCycles;
+    const std::uint64_t per_cycle = kMaxTortureScheduleCycles / power_cycles;
+    if (job.stableCycles > per_cycle || job.lowCycles > per_cycle ||
+        job.stableCycles + job.lowCycles > per_cycle)
+        return badRequest("power schedule too long (> " +
+                          std::to_string(kMaxTortureScheduleCycles) +
+                          " cycles over " + std::to_string(power_cycles) +
+                          " power cycles)");
 
     const std::shared_ptr<const GoldenEntry> golden =
         goldenFor(job, std::move(prog), err);
     if (!golden)
         return badRequest(std::move(err));
+    const fault::GoldenRun &run = *golden->run;
     fault::TortureRig rig(golden->run);
     const analysis::LintReport &lint = golden->lint;
 
@@ -289,7 +299,9 @@ Engine::executeTorture(const TortureJob &job) const
         // fixed fraction of the clean run, and its tear parameters
         // come from an Rng derived purely from (seed, i), so any
         // sharding of [0, exhaustivePoints) grades the exact same
-        // kills as the unsharded campaign.
+        // kills as the unsharded campaign. Only a kill whose step
+        // stores to FRAM can tear, so only those draw them: the rest
+        // grade the same with any tear parameters.
         if (job.pointOffset >= job.exhaustivePoints)
             return badRequest("point offset beyond the campaign");
         const std::uint64_t count =
@@ -306,9 +318,12 @@ Engine::executeTorture(const TortureJob &job) const
         kills.resize(std::size_t(count));
         pool().parallelFor(kills.size(), [&](std::size_t k) {
             const std::uint64_t i = job.pointOffset + k;
-            Rng rng = util::rngForIndex(job.seed, i);
             fault::PowerKill &kill = kills[k];
             kill.cycle = i * span / job.exhaustivePoints;
+            const std::size_t step = run.stepAt(kill.cycle);
+            if (step == run.probeSteps.size() || !run.stepWrote(step))
+                return;
+            Rng rng = util::rngForIndex(job.seed, i);
             kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
             kill.tearFlipMask =
                 std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
@@ -346,12 +361,8 @@ Engine::executeTorture(const TortureJob &job) const
         }
     }
 
-    // Static pruning composes with the rig's snapshot forking (the
-    // map only collapses statically-equivalent kills; the surviving
-    // replays still fork from golden snapshots), and runKillsPruned is
-    // bit-identical to runKills, so both modes share one path.
     const std::vector<fault::TortureOutcome> outcomes =
-        rig.runKillsPruned(kills, lint.pruningMap, &pool());
+        rig.runKills(kills, &pool());
 
     TortureResult res;
     res.cleanCycles = span;

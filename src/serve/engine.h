@@ -64,6 +64,16 @@ struct ServedResponse {
 class Engine
 {
   public:
+    /**
+     * Most cycles a torture job's fault-free schedule may span:
+     * TortureConfig::maxPowerCycles x (stableCycles + lowCycles). The
+     * golden pass single-steps up to that many cycles and keeps a
+     * probe step per instruction, so the product bounds a request's
+     * work and memory; larger jobs are kBadRequest. The default
+     * TortureConfig schedule (64 x 260k cycles) fits with 2x to spare.
+     */
+    static constexpr std::uint64_t kMaxTortureScheduleCycles = 1ull << 25;
+
     struct Options {
         /**
          * Worker threads for job-internal parallelism: 0 = the

@@ -499,11 +499,12 @@ TEST(Agreement, SeededWarBugIsFlaggedStaticallyAndDivergesDynamically)
 
 TEST(Agreement, PrunedTortureCampaignMatchesTheFullCampaign)
 {
-    // The fault-space pruning contract: running the kill campaign
-    // through the static injection-point map -- replaying one
-    // representative per statically-equivalent group -- must produce
-    // outcomes bit-identical to replaying every kill, while actually
-    // skipping work.
+    // The fault-space grouping contract: grading the kill campaign
+    // once per distinct death image -- the write-log grouping
+    // runKills() does, and runKillsPruned() forwards to -- must
+    // produce outcomes bit-identical to replaying every kill from
+    // boot, while actually skipping work. The static injection-point
+    // map no longer drives the grouping but still labels coverage.
     const soc::GuestProgram prog = soc::makeCrc32Program(2048, 11);
     const LintReport report = lintGuestProgram(prog);
     ASSERT_TRUE(report.clean());
@@ -523,29 +524,36 @@ TEST(Agreement, PrunedTortureCampaignMatchesTheFullCampaign)
     ASSERT_GE(kills.size(), 30u);
 
     util::ThreadPool pool(4);
-    const auto full = rig.runKills(kills, &pool);
+    const auto full = pool.parallelMap(
+        kills.size(), [&](std::size_t i) { return rig.runKill(kills[i]); });
     fault::PruneStats stats;
+    const auto grouped = rig.runKills(kills, &pool, &stats);
+    fault::PruneStats forwarded;
     const auto pruned =
-        rig.runKillsPruned(kills, report.pruningMap, &pool, &stats);
+        rig.runKillsPruned(kills, report.pruningMap, &pool, &forwarded);
 
+    ASSERT_EQ(grouped.size(), full.size());
     ASSERT_EQ(pruned.size(), full.size());
     for (std::size_t i = 0; i < full.size(); ++i) {
-        const fault::TortureOutcome &a = full[i];
-        const fault::TortureOutcome &b = pruned[i];
-        EXPECT_EQ(a.killed, b.killed) << "kill " << i;
-        EXPECT_EQ(a.killTore, b.killTore) << "kill " << i;
-        EXPECT_EQ(a.validSlots, b.validSlots) << "kill " << i;
-        EXPECT_EQ(a.tornSlots, b.tornSlots) << "kill " << i;
-        EXPECT_EQ(a.newestSeq, b.newestSeq) << "kill " << i;
-        EXPECT_EQ(a.coldRestart, b.coldRestart) << "kill " << i;
-        EXPECT_EQ(a.finished, b.finished) << "kill " << i;
-        EXPECT_EQ(a.resultCorrect, b.resultCorrect) << "kill " << i;
-        EXPECT_EQ(a.result, b.result) << "kill " << i;
+        for (const fault::TortureOutcome *b : {&grouped[i], &pruned[i]}) {
+            const fault::TortureOutcome &a = full[i];
+            EXPECT_EQ(a.killed, b->killed) << "kill " << i;
+            EXPECT_EQ(a.killTore, b->killTore) << "kill " << i;
+            EXPECT_EQ(a.validSlots, b->validSlots) << "kill " << i;
+            EXPECT_EQ(a.tornSlots, b->tornSlots) << "kill " << i;
+            EXPECT_EQ(a.newestSeq, b->newestSeq) << "kill " << i;
+            EXPECT_EQ(a.coldRestart, b->coldRestart) << "kill " << i;
+            EXPECT_EQ(a.finished, b->finished) << "kill " << i;
+            EXPECT_EQ(a.resultCorrect, b->resultCorrect) << "kill " << i;
+            EXPECT_EQ(a.result, b->result) << "kill " << i;
+        }
     }
     EXPECT_EQ(stats.totalKills, kills.size());
     EXPECT_EQ(stats.executedKills + stats.skippedKills, kills.size());
     EXPECT_GT(stats.skippedKills, 0u)
-        << "pruning skipped nothing; the map bought no work";
+        << "grouping skipped nothing; the write log bought no work";
+    EXPECT_EQ(forwarded.executedKills, stats.executedKills);
+    EXPECT_EQ(forwarded.skippedKills, stats.skippedKills);
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include "analysis/lint_images.h"
+#include "fault/torture_rig.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -1345,6 +1346,60 @@ TEST(Server, AnswersUnschedulableTortureJobAndStaysUp)
     client.close();
     server.stop();
     EXPECT_EQ(server.stats().requests, unschedulableJobs().size());
+}
+
+/** Decodable jobs whose fault-free schedule exceeds the engine's
+ *  bound, one of them with a cycle sum that overflows 64 bits. */
+std::vector<TortureJob>
+overlongJobs()
+{
+    const std::uint64_t per_power_cycle =
+        Engine::kMaxTortureScheduleCycles /
+        fault::TortureConfig{}.maxPowerCycles;
+    return {scheduleJob(per_power_cycle, 1),
+            scheduleJob(60'000, per_power_cycle),
+            scheduleJob(~std::uint64_t(0), ~std::uint64_t(0))};
+}
+
+TEST(Server, RejectsOverlongTortureScheduleAndStaysUp)
+{
+    Server::Options opts;
+    opts.socketPath = testSocketPath("overlong");
+    Server server(opts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    Client client;
+    ASSERT_TRUE(client.connect(opts.socketPath, err)) << err;
+    std::size_t calls = 0;
+    for (TortureJob job : overlongJobs()) {
+        // Rejected before any golden pass, sampled or exhaustive.
+        for (const std::uint64_t points : {0u, 64u}) {
+            job.exhaustivePoints = points;
+            Response resp;
+            ASSERT_TRUE(client.call(Request(job), resp, err)) << err;
+            ++calls;
+            expectBadRequest(resp);
+            PingResult pong;
+            EXPECT_TRUE(client.ping(pong, err)) << err;
+        }
+    }
+    // A schedule exactly at the bound still grades (the small app
+    // finishes early, so its golden pass is short).
+    const std::uint64_t per_power_cycle =
+        Engine::kMaxTortureScheduleCycles /
+        fault::TortureConfig{}.maxPowerCycles;
+    TortureJob fits = scheduleJob(per_power_cycle - 30'000, 30'000);
+    fits.exhaustivePoints = 16;
+    Response resp;
+    ASSERT_TRUE(client.call(Request(fits), resp, err)) << err;
+    ++calls;
+    const auto *result = std::get_if<TortureResult>(&resp);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->incorrect, 0u);
+    client.close();
+    server.stop();
+    EXPECT_EQ(server.stats().requests, calls);
 }
 
 TEST(Server, DrainsQueuedRequestsOnStop)

@@ -758,6 +758,107 @@ TEST_F(SnapshotFork, StrideZeroDisablesForking)
     EXPECT_FALSE(rig().snapshotsActive());
 }
 
+TEST_F(SnapshotFork, EveryWritingStepTearsLikeTheBootReplay)
+{
+    // One kill on every FRAM-storing instruction of the golden run:
+    // kept prefixes 0..4 (4 = the whole store lands) against flip
+    // masks that between them touch every byte lane. The periods are
+    // coprime, so every (prefix, mask) pair occurs.
+    const fault::GoldenRun &g = *rig().golden();
+    static constexpr std::uint32_t kMasks[] = {
+        0xFFFFFFFFu, 0x000000FFu, 0x0000FF00u, 0x00FF0000u,
+        0xFF000000u, 0x5A5A5A5Au, 0u};
+    std::vector<fault::PowerKill> batch;
+    for (std::size_t s = 0; s < g.probeSteps.size(); ++s) {
+        if (!g.stepWrote(s))
+            continue;
+        const std::size_t n = batch.size();
+        batch.push_back(fault::PowerKill{g.probeSteps[s].cycleAfter,
+                                         unsigned(n % 5), kMasks[n % 7]});
+    }
+    ASSERT_GE(batch.size(), 35u);
+    // A tear shows in the slots at the commit-magic store: give each
+    // checkpoint's every pair.
+    for (std::size_t w = 0; w < rig().checkpointCount(); ++w)
+        for (unsigned kept = 0; kept <= 4; ++kept)
+            for (const std::uint32_t mask : kMasks)
+                batch.push_back(fault::PowerKill{
+                    rig().commitWindow(w).end - 1, kept, mask});
+    // The app's finishing step, and a kill that never fires.
+    batch.push_back(fault::PowerKill{g.cleanCycles, 0, 0});
+    batch.push_back(fault::PowerKill{g.cleanCycles + 1, 0, 0});
+
+    util::ThreadPool one(1);
+    util::ThreadPool eight(8);
+    const std::vector<fault::TortureOutcome> ref =
+        eight.parallelMap(batch.size(), [&](std::size_t i) {
+            return rig().runKill(batch[i]);
+        });
+    std::size_t tore = 0;
+    for (const fault::TortureOutcome &out : ref)
+        tore += out.killTore ? 1 : 0;
+    EXPECT_GT(tore, batch.size() / 2);
+
+    for (const bool converge : {true, false}) {
+        rig().setConvergenceEnabled(converge);
+        for (util::ThreadPool *pool : {&one, &eight}) {
+            const auto graded = rig().runKills(batch, pool);
+            ASSERT_EQ(graded.size(), ref.size());
+            for (std::size_t i = 0; i < ref.size(); ++i)
+                expectSameOutcome(ref[i], graded[i], i);
+        }
+    }
+    rig().setConvergenceEnabled(true);
+}
+
+TEST_F(SnapshotFork, TornCommitMagicDecidesWhichCheckpointSurvives)
+{
+    // The second checkpoint's commit-magic store, killed three ways:
+    // it lands; its upper half reverts to the old bytes; its upper
+    // half "reverts" through noise that recreates exactly the magic.
+    // Dropping the tear, or putting it on the wrong lanes, changes
+    // which checkpoint the slots hold.
+    ASSERT_GE(rig().checkpointCount(), 2u);
+    const fault::GoldenRun &g = *rig().golden();
+    const std::uint64_t cycle = rig().commitWindow(1).end - 1;
+    const std::size_t step = g.stepAt(cycle);
+    ASSERT_LT(step, g.probeSteps.size());
+    ASSERT_TRUE(g.stepWrote(step));
+    const fault::GoldenRun::FramWrite &magic =
+        g.writeLog[g.probeSteps[step].writeEnd - 1];
+    ASSERT_EQ(magic.width, 4u);
+    ASSERT_EQ(magic.step, step);
+    std::uint32_t remagic = 0;
+    for (unsigned i = 2; i < 4; ++i)
+        remagic |= std::uint32_t(magic.pre[i] ^ magic.post[i]) << (8 * i);
+    ASSERT_NE(remagic, 0u);
+
+    const std::vector<fault::PowerKill> batch = {
+        {cycle, 4, 0xFFFFFFFFu}, {cycle, 2, 0}, {cycle, 2, remagic}};
+    util::ThreadPool pool(2);
+    const auto graded = rig().runKills(batch, &pool);
+    ASSERT_EQ(graded.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        expectSameOutcome(rig().runKill(batch[i]), graded[i], i);
+
+    const fault::TortureOutcome &landed = graded[0];
+    const fault::TortureOutcome &reverted = graded[1];
+    const fault::TortureOutcome &remade = graded[2];
+    EXPECT_FALSE(landed.killTore);
+    EXPECT_EQ(landed.validSlots, 2);
+    EXPECT_EQ(landed.newestSeq, 2u);
+    EXPECT_TRUE(reverted.killTore);
+    EXPECT_EQ(reverted.validSlots, 1);
+    EXPECT_EQ(reverted.newestSeq, 1u);
+    EXPECT_TRUE(remade.killTore);
+    EXPECT_EQ(remade.validSlots, 2);
+    EXPECT_EQ(remade.newestSeq, 2u);
+    for (const fault::TortureOutcome &out : graded) {
+        EXPECT_EQ(out.tornSlots, 0);
+        EXPECT_TRUE(out.resultCorrect);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Wire v2: exhaustive point-range shards and coverage maps
 // ---------------------------------------------------------------------
