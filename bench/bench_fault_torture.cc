@@ -7,7 +7,7 @@
  * matter when power dies; this campaign measures exactly that, and
  * emits a machine-readable JSON summary whose seed replays the run.
  *
- * The same kill list runs four times: on the trace tier and the DBT
+ * The same kill list runs four times: on the interpreter and the DBT
  * tier with replay-from-boot (FS_NO_SNAPSHOT pinned -- the historical
  * "campaign" and "campaign_dbt" phases), then with snapshot forking
  * ("campaign_snapshot") and with forking plus convergence memoization
@@ -198,12 +198,13 @@ main(int argc, char **argv)
         std::getenv("FS_NO_SNAPSHOT") != nullptr;
     setenv("FS_NO_SNAPSHOT", "1", 1);
 
-    // Campaign 1: trace tier only. The kill switch must stay set for
+    // Campaign 1: interpreter only. The kill switch must stay set for
     // the replays (every replay builds a fresh hart that reads the
     // environment at construction); respect an externally forced-off
-    // DBT so CI's FS_NO_DBT leg measures what it says.
-    const bool dbt_forced_off = std::getenv("FS_NO_DBT") != nullptr;
-    setenv("FS_NO_DBT", "1", 1);
+    // fast path so CI's FS_NO_TRACE_CACHE leg measures what it says.
+    const bool fast_forced_off =
+        std::getenv("FS_NO_TRACE_CACHE") != nullptr;
+    setenv("FS_NO_TRACE_CACHE", "1", 1);
     util::Timer timer;
     const std::vector<TortureOutcome> outcomes =
         rig.runKills(kills, &pool);
@@ -249,10 +250,10 @@ main(int argc, char **argv)
     // Campaign 2: the identical kill list with the DBT tier up. The
     // translation tier must not change a single outcome bit; its
     // kills/sec lands in the ledger next to the baseline, with the
-    // trace campaign's rate in the baseline column so the tier
+    // interpreter campaign's rate in the baseline column so the tier
     // speedup is machine readable.
-    if (!dbt_forced_off)
-        unsetenv("FS_NO_DBT");
+    if (!fast_forced_off)
+        unsetenv("FS_NO_TRACE_CACHE");
     TortureRig rig_dbt(soc::makeCrc32Program(4096, 11), config);
     util::Timer timer_dbt;
     const std::vector<TortureOutcome> outcomes_dbt =
@@ -312,7 +313,7 @@ main(int argc, char **argv)
                 r.fallbacks);
     // [perf]-prefixed: wall-clock rates are the one output allowed to
     // vary across runs/thread counts in the determinism diffs.
-    std::printf("[perf] campaign kills/sec: trace %.1f, dbt %.1f (%.2fx)\n",
+    std::printf("[perf] campaign kills/sec: interp %.1f, dbt %.1f (%.2fx)\n",
                 double(kills.size()) / elapsed,
                 double(kills.size()) / elapsed_dbt,
                 elapsed / elapsed_dbt);
@@ -344,8 +345,8 @@ main(int argc, char **argv)
     bench::shapeCheck("mid-commit kills fell back to the previous "
                       "valid slot",
                       w.fallbacks > 0);
-    bench::shapeCheck("DBT campaign summary byte-matches the trace "
-                      "tier's",
+    bench::shapeCheck("DBT campaign summary byte-matches the "
+                      "interpreter's",
                       json == json_dbt);
     bench::shapeCheck("snapshot-fork campaigns byte-match the "
                       "replay-from-boot summary",

@@ -7,13 +7,12 @@
  *
  * After the google-benchmark suite, main() runs the guest-workload
  * MIPS harness: every bench workload executes once per rep on a bare
- * FRAM+SRAM SoC across all three execution tiers (interpreter, trace
- * cache, DBT), results checked against the host oracle and the
- * measured rates recorded in BENCH_perf.json (phases *_mips_interp /
- * *_mips_trace / *_mips_dbt; each faster tier's phase carries the
- * next-slower tier's rate as baselineRatePerSec, so speedup is
- * machine readable). The aggregate asserts the DBT tier's >= 1.5x
- * floor over the trace tier (skipped under sanitizers or
+ * FRAM+SRAM SoC on both execution tiers (interpreter, DBT), results
+ * checked against the host oracle and the measured rates recorded in
+ * BENCH_perf.json (phases *_mips_interp / *_mips_dbt; the DBT phase
+ * carries the interpreter's rate as baselineRatePerSec, so speedup is
+ * machine readable). The aggregate asserts the DBT tier's >= 6x floor
+ * over the interpreter (skipped under sanitizers or
  * FS_BENCH_NO_FLOOR), and a `dbt-stats:` JSON line surfaces the
  * tier's translation/chaining counters for CI artifacts.
  */
@@ -116,41 +115,12 @@ BM_IssThroughput(benchmark::State &state)
 BENCHMARK(BM_IssThroughput);
 
 void
-BM_IssThroughputTraceCache(benchmark::State &state)
-{
-    // Same arithmetic kernel through the pre-decoded block path. The
-    // trailing jump makes the loop endless so chunked execution never
-    // falls off the end of the code.
-    riscv::Ram ram(4096);
-    riscv::Assembler as(0);
-    as.li(riscv::kA0, 0);
-    as.li(riscv::kA1, 1000000);
-    const auto loop = as.newLabel();
-    as.bind(loop);
-    as.emit(riscv::addi(riscv::kA0, riscv::kA0, 1));
-    as.emit(riscv::xor_(riscv::kA2, riscv::kA0, riscv::kA1));
-    as.bltTo(riscv::kA0, riscv::kA1, loop);
-    as.jTo(loop);
-    ram.loadWords(0, as.finalize());
-    riscv::Hart hart(ram);
-    hart.setTraceCacheEnabled(true);
-    hart.setDbtEnabled(false); // trace tier only; DBT measured below
-    hart.reset(0);
-    std::uint64_t instructions = 0;
-    for (auto _ : state) {
-        const std::uint64_t before = hart.instructionsRetired();
-        hart.run(4096);
-        instructions += hart.instructionsRetired() - before;
-    }
-    state.SetItemsProcessed(std::int64_t(instructions));
-}
-BENCHMARK(BM_IssThroughputTraceCache);
-
-void
 BM_IssThroughputDbt(benchmark::State &state)
 {
-    // The same endless kernel through the DBT tier: after warmup the
-    // loop runs as chained threaded code.
+    // Same arithmetic kernel through the DBT tier: after warmup the
+    // loop runs as chained threaded code. The trailing jump makes the
+    // loop endless so chunked execution never falls off the end of
+    // the code.
     riscv::Ram ram(4096);
     riscv::Assembler as(0);
     as.li(riscv::kA0, 0);
@@ -164,7 +134,6 @@ BM_IssThroughputDbt(benchmark::State &state)
     ram.loadWords(0, as.finalize());
     riscv::Hart hart(ram);
     hart.setTraceCacheEnabled(true);
-    hart.setDbtEnabled(true);
     hart.reset(0);
     std::uint64_t instructions = 0;
     for (auto _ : state) {
@@ -200,8 +169,8 @@ benchWorkloads()
             soc::makeSortProgram(512), soc::makeMatmulProgram(20)};
 }
 
-/** Which execution tiers a bench hart may use. */
-enum class Tier { kInterp, kTrace, kDbt };
+/** Which execution tier a bench hart uses. */
+enum class Tier { kInterp, kDbt };
 
 struct GuestRun {
     double seconds = 0.0;
@@ -224,8 +193,7 @@ runGuestOnce(const soc::GuestProgram &prog, Tier tier)
     bus.attach("fram", layout.framBase, fram);
     bus.attach("sram", layout.sramBase, sram);
     riscv::Hart hart(bus);
-    hart.setTraceCacheEnabled(tier != Tier::kInterp);
-    hart.setDbtEnabled(tier == Tier::kDbt);
+    hart.setTraceCacheEnabled(tier == Tier::kDbt);
 
     // Cold-start stub, mirroring the runtime's calling convention:
     // stack at the top of SRAM, enter the app via jalr, halt on return.
@@ -271,28 +239,25 @@ accumulate(GuestRun &total, const GuestRun &rep)
     total.dbt.flushes += rep.dbt.flushes;
 }
 
-/** Interleave the three tiers' reps so host-load noise hits every
- *  mode equally; the first round is warmup and is discarded. */
+/** Interleave the two tiers' reps so host-load noise hits both
+ *  equally; the first round is warmup and is discarded. */
 void
 measureGuest(const soc::GuestProgram &prog, GuestRun &interp,
-             GuestRun &trace, GuestRun &dbt)
+             GuestRun &dbt)
 {
     runGuestOnce(prog, Tier::kInterp);
-    runGuestOnce(prog, Tier::kTrace);
     runGuestOnce(prog, Tier::kDbt);
     int reps = 0;
-    while (reps < 4 ||
-           interp.seconds + trace.seconds + dbt.seconds < 0.5) {
+    while (reps < 4 || interp.seconds + dbt.seconds < 0.5) {
         accumulate(interp, runGuestOnce(prog, Tier::kInterp));
-        accumulate(trace, runGuestOnce(prog, Tier::kTrace));
         accumulate(dbt, runGuestOnce(prog, Tier::kDbt));
         ++reps;
     }
 }
 
-/** The DBT-over-trace floor is a real regression gate on optimized
- *  builds; sanitized builds time instrumentation, not the simulator,
- *  and FS_BENCH_NO_FLOOR lets exploratory runs opt out. */
+/** The DBT-over-interpreter floor is a real regression gate on
+ *  optimized builds; sanitized builds time instrumentation, not the
+ *  simulator, and FS_BENCH_NO_FLOOR lets exploratory runs opt out. */
 bool
 floorDisabled()
 {
@@ -311,50 +276,35 @@ void
 reportGuestMips()
 {
     util::BenchReport report("bench_micro_runtime");
-    GuestRun interp_total, trace_total, dbt_total;
-    std::printf(
-        "\nguest-workload MIPS, interp vs. trace cache vs. DBT\n");
+    GuestRun interp_total, dbt_total;
+    std::printf("\nguest-workload MIPS, interp vs. DBT\n");
     for (const auto &prog : benchWorkloads()) {
-        GuestRun off, on, tc;
-        measureGuest(prog, off, on, tc);
+        GuestRun off, on;
+        measureGuest(prog, off, on);
         accumulate(interp_total, off);
-        accumulate(trace_total, on);
-        accumulate(dbt_total, tc);
+        accumulate(dbt_total, on);
         const double off_rate =
             double(off.instructions) / off.seconds;
         const double on_rate = double(on.instructions) / on.seconds;
-        const double tc_rate = double(tc.instructions) / tc.seconds;
-        std::printf("  %-8s %8.1f -> %8.1f -> %8.1f MIPS "
-                    "(trace %.2fx, dbt %.2fx over trace)\n",
+        std::printf("  %-8s %8.1f -> %8.1f MIPS (dbt %.2fx)\n",
                     prog.name.c_str(), off_rate / 1e6, on_rate / 1e6,
-                    tc_rate / 1e6, on_rate / off_rate,
-                    tc_rate / on_rate);
+                    on_rate / off_rate);
         report.add({prog.name + "_mips_interp", off.seconds,
                     double(off.instructions), 1, 0.0});
-        report.add({prog.name + "_mips_trace", on.seconds,
+        report.add({prog.name + "_mips_dbt", on.seconds,
                     double(on.instructions), 1, off_rate});
-        report.add({prog.name + "_mips_dbt", tc.seconds,
-                    double(tc.instructions), 1, on_rate});
     }
     const double base_rate =
         double(interp_total.instructions) / interp_total.seconds;
-    const double trace_rate =
-        double(trace_total.instructions) / trace_total.seconds;
     const double dbt_rate =
         double(dbt_total.instructions) / dbt_total.seconds;
     report.add({"guest_mips_interp", interp_total.seconds,
                 double(interp_total.instructions), 1, 0.0});
-    report.add({"guest_mips_trace", trace_total.seconds,
-                double(trace_total.instructions), 1, base_rate});
     report.add({"guest_mips_dbt", dbt_total.seconds,
-                double(dbt_total.instructions), 1, trace_rate});
+                double(dbt_total.instructions), 1, base_rate});
     report.write();
-    std::printf("  aggregate %.1f -> %.1f -> %.1f MIPS "
-                "(trace %.2fx over interp, dbt %.2fx over trace, "
-                "%.2fx over interp)\n",
-                base_rate / 1e6, trace_rate / 1e6, dbt_rate / 1e6,
-                trace_rate / base_rate, dbt_rate / trace_rate,
-                dbt_rate / base_rate);
+    std::printf("  aggregate %.1f -> %.1f MIPS (dbt %.2fx over interp)\n",
+                base_rate / 1e6, dbt_rate / 1e6, dbt_rate / base_rate);
 
     // Tier bookkeeping for the CI artifact: one machine-readable line.
     const riscv::DbtStats &s = dbt_total.dbt;
@@ -373,15 +323,15 @@ reportGuestMips()
                 (unsigned long long)s.unlinks,
                 (unsigned long long)s.flushes);
 
-    if (dbt_rate < 1.5 * trace_rate) {
+    if (dbt_rate < 6.0 * base_rate) {
         if (floorDisabled())
             std::printf("dbt floor check skipped (sanitizer or "
                         "FS_BENCH_NO_FLOOR)\n");
         else
-            fatal("DBT tier below its 1.5x-over-trace floor: ",
-                  dbt_rate / 1e6, " MIPS vs. trace ",
-                  trace_rate / 1e6, " MIPS (",
-                  dbt_rate / trace_rate, "x)");
+            fatal("DBT tier below its 6x-over-interpreter floor: ",
+                  dbt_rate / 1e6, " MIPS vs. interpreter ",
+                  base_rate / 1e6, " MIPS (",
+                  dbt_rate / base_rate, "x)");
     }
 }
 

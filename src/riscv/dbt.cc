@@ -1,7 +1,6 @@
 #include "riscv/dbt.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/env.h"
 
@@ -18,26 +17,9 @@ budgetFromEnv()
                                     1u << 30));
 }
 
-std::uint32_t
-hotThresholdFromEnv()
-{
-    return std::uint32_t(util::envU64("FS_DBT_HOT_THRESHOLD",
-                                      DbtCache::kDefaultHotThreshold, 1,
-                                      1u << 30));
-}
-
 } // namespace
 
-DbtCache::DbtCache()
-    : budget_(budgetFromEnv()), hot_threshold_(hotThresholdFromEnv())
-{
-}
-
-bool
-DbtCache::enabledByEnv()
-{
-    return std::getenv("FS_NO_DBT") == nullptr;
-}
+DbtCache::DbtCache() : budget_(budgetFromEnv()) {}
 
 DbtBlock *
 DbtCache::insert(DbtBlock block)

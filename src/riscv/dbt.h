@@ -1,34 +1,34 @@
 /**
  * @file
- * Dynamic-binary-translation tier above the trace cache.
+ * Dynamic-binary-translation tier: the ISS's one fast executor.
  *
- * The trace cache (PR 4) decodes each basic block once but still pays
- * a full `switch` dispatch, operand re-extraction, and a pc-divergence
- * compare per micro-op, plus a cache lookup per block per loop
- * iteration. This tier lowers hot trace-cache blocks one step further
- * into contiguous *threaded code*: every guest instruction becomes a
- * DbtOp carrying a direct handler pointer (computed-goto dispatch
- * under GCC/Clang, a switch fallback elsewhere -- see
- * FS_DBT_COMPUTED_GOTO) and pre-folded operands. Immediates, auipc
- * results, branch/jal targets, and link values are resolved to
- * absolute constants at translation time (blocks are keyed by physical
- * pc and die on any code change, so that folding is sound), which
- * eliminates pc tracking inside a block entirely. Blocks chain
- * directly to their successors -- fall-through, jal, and taken-branch
- * edges patch a per-op `chain` pointer on first use -- so hot loops
- * execute without returning to the outer dispatch loop.
+ * The interpreter re-fetches, re-decodes and switch-dispatches every
+ * instruction on every execution. This tier decodes each basic block
+ * once, on its first dispatch, straight from the bus's direct
+ * host-pointer window (through riscv::decode(), the same decoder the
+ * interpreter uses) and lowers it into contiguous *threaded code*:
+ * every guest instruction becomes a DbtOp carrying a direct handler
+ * pointer (computed-goto dispatch under GCC/Clang, a switch fallback
+ * elsewhere -- see FS_DBT_COMPUTED_GOTO) and pre-folded operands.
+ * Immediates, auipc results, branch/jal targets, and link values are
+ * resolved to absolute constants at translation time (blocks are keyed
+ * by physical pc and die on any code change, so that folding is
+ * sound), which eliminates pc tracking inside a block entirely. Blocks
+ * chain directly to their successors -- fall-through, jal, and
+ * taken-branch edges patch a per-op `chain` pointer on first use -- so
+ * hot loops execute without returning to the outer dispatch loop.
  *
- * Correctness contract (identical to the trace cache's): execution is
- * bounded by the SoC event horizon (a block or chained successor is
- * only entered when its worst-case cost still fits strictly under the
- * remaining budget), the cache is flushed by the same triggers
- * (stores into translated code, reset, powerFail, image loads), and
- * system/CSR/custom ops are never translated: a superblock covers
- * only the prefix up to the first strict op and exits to it, so those
- * ops stay on the trace tier where per-instruction counter commits
- * keep `mcycle`/`minstret` exact. Results are bit-identical to the
- * interpreter at any thread count; FS_NO_DBT disables the tier
- * (mirroring FS_NO_TRACE_CACHE).
+ * Correctness contract: execution is bounded by the SoC event horizon
+ * (a block or chained successor is only entered when its worst-case
+ * cost still fits strictly under the remaining budget; otherwise the
+ * hart exits to the interpreter, which runs the horizon-crossing
+ * instruction on its exact cycle), the cache is flushed on stores into
+ * translated code, reset, and image loads, and system/CSR/custom ops
+ * are never translated: a superblock covers only the prefix up to the
+ * first strict op and exits to it, so those ops run on the interpreter
+ * and `mcycle`/`minstret` stay exact. Results are bit-identical to the
+ * interpreter at any thread count; FS_NO_TRACE_CACHE disables the tier
+ * (the historical name of the fast-path kill switch).
  *
  * Invariants the executor relies on (established by translation):
  *  - pure ALU/const ops with rd == x0 are lowered to kNop (handlers
@@ -37,9 +37,9 @@
  *  - every block ends in a control transfer (kJal/kJalr) or an
  *    explicit kFallthrough pseudo-op, so dispatch never runs off the
  *    end of the op array;
- *  - worstTotal is the same worst-case sum the trace tier uses, so
- *    the entry/chain budget guards compose with Soc::eventHorizon
- *    exactly as the trace tier's lean path does.
+ *  - worstTotal bounds the cycles any path through the block can
+ *    spend, so the entry/chain budget guards compose with
+ *    Soc::eventHorizon.
  */
 
 #ifndef FS_RISCV_DBT_H_
@@ -99,8 +99,9 @@ struct DbtOp {
  *  bookkeeping needed to unlink it on eviction. */
 struct DbtBlock {
     std::uint32_t base = 0;
-    /** Same worst-case cycle sum the trace tier computes: the entry
-     *  and chain guards compare it against the remaining budget. */
+    /** Sum of every op's worst-case cycle cost (a branch counts as
+     *  taken): the entry and chain guards compare it against the
+     *  remaining budget. */
     std::uint64_t worstTotal = 0;
     std::vector<DbtOp> ops;
     /** Chain slots in *other* blocks (or this one: self-loops are
@@ -134,9 +135,8 @@ struct DbtStats {
 /**
  * Translation cache: owns the threaded-code blocks, enforces a byte
  * budget with LRU-ish eviction (evicting a block unlinks every chain
- * into and out of it), and tracks the same conservative code extent
- * and generation counter the trace cache uses for self-modifying-code
- * flushes.
+ * into and out of it), and tracks a conservative code extent and a
+ * generation counter for self-modifying-code flushes.
  */
 class DbtCache
 {
@@ -147,15 +147,10 @@ class DbtCache
     /** Default translation-cache byte budget (FS_DBT_CACHE_BYTES). */
     static constexpr std::size_t kDefaultBudgetBytes = 8u << 20;
 
-    /** Trace-block executions before promotion to threaded code
-     *  (FS_DBT_HOT_THRESHOLD). */
-    static constexpr std::uint32_t kDefaultHotThreshold = 4;
+    /** Cap on guest ops per translated block. */
+    static constexpr std::size_t kMaxBlockOps = 64;
 
     DbtCache();
-
-    /** True unless FS_NO_DBT is set in the environment. Re-read on
-     *  every call so tests can toggle between harts. */
-    static bool enabledByEnv();
 
     /** Translated block starting exactly at @p pc (nullptr on miss). */
     DbtBlock *
@@ -203,8 +198,12 @@ class DbtCache
         ++stats_.chainLinks;
     }
 
-    /** True when [addr, addr+bytes) touches any translated code (one
-     *  conservative extent over all blocks, like the trace cache). */
+    /**
+     * True when [addr, addr+bytes) touches any translated code. The
+     * extent is a single conservative range over all blocks, so a hit
+     * flushes everything -- self-modifying code is vanishingly rare in
+     * the firmware this simulates.
+     */
     bool
     overlapsCode(std::uint32_t addr, unsigned bytes) const
     {
@@ -227,9 +226,6 @@ class DbtCache
      *  eviction); takes effect at the next insert. */
     void setBudgetBytes(std::size_t bytes) { budget_ = bytes; }
 
-    std::uint32_t hotThreshold() const { return hot_threshold_; }
-    void setHotThreshold(std::uint32_t t) { hot_threshold_ = t; }
-
     const DbtStats &stats() const { return stats_; }
     DbtStats &stats() { return stats_; }
 
@@ -251,7 +247,6 @@ class DbtCache
         blocks_;
     std::size_t bytes_ = 0;
     std::size_t budget_ = kDefaultBudgetBytes;
-    std::uint32_t hot_threshold_ = kDefaultHotThreshold;
     std::uint32_t code_lo_ = 0;
     std::uint32_t code_hi_ = 0;
     std::uint64_t generation_ = 0;

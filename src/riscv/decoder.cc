@@ -282,22 +282,6 @@ decode(Word inst)
     }
 }
 
-bool
-endsBasicBlock(const Decoded &d)
-{
-    switch (d.cls) {
-      case InstrClass::kJal:
-      case InstrClass::kJalr:
-      case InstrClass::kSystem:
-      case InstrClass::kCsr:
-      case InstrClass::kCustom:
-      case InstrClass::kIllegal:
-        return true;
-      default:
-        return false;
-    }
-}
-
 std::string
 mnemonicName(Mnemonic op)
 {

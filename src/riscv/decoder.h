@@ -90,19 +90,6 @@ struct Decoded {
 /** Decode one instruction word (total: never panics). */
 Decoded decode(Word inst);
 
-/**
- * True when pre-decoded straight-line dispatch cannot simply continue
- * past @p d: unconditional transfers (jal/jalr), system ops (ecall/
- * ebreak/mret/wfi), CSR ops (they can unmask a pending interrupt),
- * and the custom-0 ops (fs.cfg can raise MEIP through the
- * peripheral). The trace cache ends blocks here so event delivery
- * stays on the interpreter's exact cycle. Conditional branches do NOT
- * end a block: decoding continues down the not-taken path and the
- * executor exits the block when the pc diverges from the straight
- * line, which keeps branchy code in long blocks.
- */
-bool endsBasicBlock(const Decoded &d);
-
 /** Lowercase mnemonic text, e.g. "bltu" or "fs.mark". */
 std::string mnemonicName(Mnemonic op);
 

@@ -1,6 +1,7 @@
 #include "riscv/hart.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "util/logging.h"
 
@@ -35,8 +36,7 @@ loadDirect(const std::uint8_t *p, unsigned bytes)
 FsCoprocessor::~FsCoprocessor() = default;
 
 Hart::Hart(MemoryDevice &bus)
-    : bus_(bus), trace_on_(TraceCache::enabledByEnv()),
-      dbt_on_(DbtCache::enabledByEnv())
+    : bus_(bus), trace_on_(std::getenv("FS_NO_TRACE_CACHE") == nullptr)
 {
 }
 
@@ -176,9 +176,8 @@ void
 Hart::store(std::uint32_t addr, std::uint32_t value, unsigned bytes)
 {
     if (trace_on_) {
-        // Self-modifying store into cached code: drop the cache before
-        // anything can re-enter a stale block. The DBT tier keeps its
-        // own (tighter) extent and generation.
+        // Self-modifying store into translated code: drop the cache
+        // before anything can re-enter a stale block.
         invalidateCode(addr, bytes);
         if (const DirectWindow *w = findWindow(addr, bytes)) {
             // Stores keep the virtual dispatch (NVM write filters,
@@ -237,19 +236,9 @@ Hart::run(std::uint64_t max_cycles)
 void
 Hart::setTraceCacheEnabled(bool on)
 {
-    if (trace_on_ != on) {
-        trace_.flush();
+    if (trace_on_ != on)
         dbt_.flush();
-    }
     trace_on_ = on;
-}
-
-void
-Hart::setDbtEnabled(bool on)
-{
-    if (dbt_on_ != on)
-        dbt_.flush();
-    dbt_on_ = on;
 }
 
 std::uint64_t
@@ -278,45 +267,7 @@ Hart::worstCost(const Decoded &d) const
     }
 }
 
-const TraceBlock *
-Hart::buildBlock()
-{
-    const DirectWindow *w = findWindow(pc_, 4);
-    if (!w)
-        return nullptr; // MMIO-resident code: interpreter only
-    TraceBlock block;
-    block.base = pc_;
-    const std::uint64_t window_end = std::uint64_t(w->base) + w->span;
-    std::uint32_t pc = pc_;
-    while (block.ops.size() < TraceCache::kMaxBlockOps &&
-           std::uint64_t(pc) + 4 <= window_end) {
-        const Word raw = loadDirect(w->data + (pc - w->base), 4);
-        const Decoded d = decode(raw);
-        if (d.op == Mnemonic::kIllegal)
-            break; // let the interpreter report it at its own pc
-        const std::uint64_t worst = worstCost(d);
-        block.ops.push_back({d, worst});
-        block.worstTotal += worst;
-        if (d.cls == InstrClass::kLoad)
-            block.hasLoad = true;
-        else if (d.cls == InstrClass::kStore)
-            block.hasStore = true;
-        else if (d.cls == InstrClass::kSystem ||
-                 d.cls == InstrClass::kCustom ||
-                 d.cls == InstrClass::kCsr)
-            block.needsStrictChecks = true;
-        pc += 4;
-        if (endsBasicBlock(d))
-            break;
-    }
-    if (block.ops.empty())
-        return nullptr;
-    return &trace_.insert(std::move(block));
-}
-
-// Flattened: inlines executeDecoded (and the cache probe) into the
-// dispatch loops, which is worth ~10% MIPS on branchy guest code.
-__attribute__((flatten)) std::uint64_t
+std::uint64_t
 Hart::runDecoded(std::uint64_t budget)
 {
     if (!trace_on_ || halted_ || wfi_ || interruptPending())
@@ -324,166 +275,20 @@ Hart::runDecoded(std::uint64_t budget)
     std::uint64_t spent = 0;
     slow_event_ = false;
     for (;;) {
-        // Tier 3: translated threaded code. Entered only when the
-        // whole superblock's worst case fits strictly under the
-        // budget, exactly like the lean trace path below; chaining
-        // inside runDbt repeats the same guard per successor.
-        bool dbt_missed = false;
-        if (dbt_on_) {
-            DbtBlock *tb = dbt_.lookup(pc_);
-            if (tb != nullptr) {
-                if (spent + tb->worstTotal < budget) {
-                    spent += runDbt(tb, budget - spent);
-                    if (halted_ || wfi_ || slow_event_ ||
-                        interruptPending())
-                        break;
-                    continue;
-                }
-                // Budget too tight for the whole superblock: use the
-                // trace paths (per-op budget checks) this dispatch.
-            } else {
-                dbt_missed = true;
-            }
-        }
-        const TraceBlock *block = trace_.lookup(pc_);
-        if (!block)
-            block = buildBlock();
-        if (!block)
-            break; // pc outside direct-window memory
-        // Tier promotion: a trace block that has been dispatched
-        // hotThreshold times is lowered to threaded code. Translation
-        // stops at the first strict-check op (system/CSR/custom stay
-        // on this tier, where per-instruction counter commits keep
-        // mcycle exact) and refuses blocks that *start* with one --
-        // the refusal is cached on the block so it is not retried.
-        // The `>=` lets a previously hot block re-translate
-        // immediately after an eviction.
-        if (dbt_missed && !block->dbtReject &&
-            ++block->heat >= dbt_.hotThreshold()) {
-            DbtBlock *tb = translateBlock(*block);
-            if (tb == nullptr)
-                block->dbtReject = true;
-            if (tb != nullptr && spent + tb->worstTotal < budget) {
-                spent += runDbt(tb, budget - spent);
-                if (halted_ || wfi_ || slow_event_ ||
-                    interruptPending())
-                    break;
-                continue;
-            }
-        }
-        if (!block->needsStrictChecks &&
-            spent + block->worstTotal < budget) {
-            // Lean whole-block dispatch: the block fits strictly under
-            // the budget and nothing in it can halt or read the
-            // retired-instruction counter. cycles_ still commits per
-            // op so the slow-access hook syncs the peripheral to the
-            // exact instruction-start time on any MMIO access.
-            // Blocks run across not-taken conditional branches; a
-            // taken branch shows up as the pc leaving the straight
-            // line and exits the block (exact: nothing mid-block can
-            // assert an interrupt, see TraceBlock's flag docs).
-            const std::size_t n = block->ops.size();
-            const std::uint32_t base = block->base;
-            std::uint64_t cost = 0;
-            if (!block->hasStore && !block->hasLoad) {
-                // No memory ops: nothing can fire the slow-access
-                // hook, so the counters commit once at block end.
-                std::size_t done = n;
-                for (std::size_t i = 0; i < n; ++i) {
-                    cost += executeDecoded(block->ops[i].inst);
-                    if (pc_ != base + 4u * std::uint32_t(i + 1)) {
-                        done = i + 1;
-                        break;
-                    }
-                }
-                cycles_ += cost;
-                instret_ += done;
-                spent += cost;
-            } else if (!block->hasStore) {
-                // Loads but no stores: cycles_ is only observable at
-                // the instant a load executes (the slow-access hook
-                // syncs the peripheral to it on an MMIO access), so
-                // the running sum commits just before each load and
-                // once at block end.
-                std::size_t done = n;
-                std::uint64_t pending = 0;
-                for (std::size_t i = 0; i < n; ++i) {
-                    const Decoded &inst = block->ops[i].inst;
-                    if (inst.isLoad()) {
-                        cycles_ += pending;
-                        cost += pending;
-                        pending = 0;
-                    }
-                    pending += executeDecoded(inst);
-                    if (pc_ != base + 4u * std::uint32_t(i + 1)) {
-                        done = i + 1;
-                        break;
-                    }
-                }
-                cycles_ += pending;
-                cost += pending;
-                instret_ += done;
-                spent += cost;
-            } else {
-                // Stores additionally re-check the cache generation
-                // (a store into cached code flushes this very block)
-                // and bail on MMIO stores (horizon may have moved).
-                const std::uint64_t gen = trace_.generation();
-                std::size_t done = 0;
-                bool flushed = false;
-                while (done < n) {
-                    const std::uint64_t c =
-                        executeDecoded(block->ops[done].inst);
-                    cycles_ += c;
-                    cost += c;
-                    ++done;
-                    if (trace_.generation() != gen) {
-                        flushed = true;
-                        break;
-                    }
-                    if (slow_event_)
-                        break;
-                    if (pc_ != base + 4u * std::uint32_t(done))
-                        break;
-                }
-                instret_ += done;
-                spent += cost;
-                if (flushed)
-                    continue; // re-lookup at the (new) pc_
-            }
-            if (slow_event_ || interruptPending())
-                break;
-            continue;
-        }
-        const std::uint64_t gen = trace_.generation();
-        const std::size_t n = block->ops.size();
-        bool stop = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceOp &op = block->ops[i];
-            // Stop strictly before the budget can be reached: the
-            // instruction that would cross an event horizon always
-            // runs on the interpreter path, so kills, sample latches,
-            // and interrupts land on the exact interpreter cycle.
-            if (spent + op.worstCost >= budget) {
-                stop = true;
-                break;
-            }
-            const std::uint64_t cost = executeDecoded(op.inst);
-            cycles_ += cost;
-            ++instret_;
-            spent += cost;
-            if (trace_.generation() != gen)
-                break; // block flushed under us; re-lookup at pc_
-            if (slow_event_ || halted_ || wfi_) {
-                stop = true;
-                break;
-            }
-            if (pc_ != block->base + 4u * std::uint32_t(i + 1))
-                break; // taken branch left the straight line
-        }
-        if (stop || halted_ || wfi_ || slow_event_)
+        DbtBlock *block = dbt_.lookup(pc_);
+        if (block == nullptr)
+            block = translateBlock();
+        // No translation here (MMIO-resident code, or a strict op
+        // first), or the superblock's worst case could reach the
+        // budget: hand back to the caller, whose step() runs the next
+        // instruction on the interpreter -- so strict ops and the op
+        // that crosses an event horizon (kill, sample latch, interrupt)
+        // land on the exact interpreter cycle. Chaining inside runDbt
+        // repeats the same guard per successor.
+        if (block == nullptr || spent + block->worstTotal >= budget)
             break;
-        if (interruptPending())
+        spent += runDbt(block, budget - spent);
+        if (slow_event_ || interruptPending())
             break;
     }
     return spent;
@@ -507,19 +312,26 @@ Hart::runDecoded(std::uint64_t budget)
 #endif
 
 DbtBlock *
-Hart::translateBlock(const TraceBlock &src)
+Hart::translateBlock()
 {
+    const DirectWindow *w = findWindow(pc_, 4);
+    if (w == nullptr)
+        return nullptr; // MMIO-resident code: interpreter only
 #if FS_DBT_COMPUTED_GOTO
     if (dbt_labels_ == nullptr)
         runDbt(nullptr, 0); // publish the label table
 #endif
-    DbtBlock blk;
-    blk.base = src.base;
-    blk.ops.reserve(src.ops.size() + 1);
-    std::uint32_t pc = src.base;
+    // Decode into a fixed buffer (one slot spare for the fall-through
+    // pseudo-op) so the block's op array is allocated once, exactly.
+    std::array<DbtOp, DbtCache::kMaxBlockOps + 1> ops;
+    std::size_t n = 0;
+    std::uint64_t worst_total = 0;
+    const std::uint64_t window_end = std::uint64_t(w->base) + w->span;
+    std::uint32_t pc = pc_;
     bool terminal = false;
-    for (const TraceOp &top : src.ops) {
-        const Decoded &d = top.inst;
+    while (n < DbtCache::kMaxBlockOps &&
+           std::uint64_t(pc) + 4 <= window_end) {
+        const Decoded d = decode(loadDirect(w->data + (pc - w->base), 4));
         bool translatable = true;
         DbtOp op;
         op.rd = std::uint8_t(d.rd);
@@ -644,35 +456,39 @@ Hart::translateBlock(const TraceBlock &src)
             break;
           default:
             // System/CSR/custom/illegal: cut the superblock here. The
-            // translated prefix exits to this pc and the trace tier's
-            // strict path runs the op with per-instruction counter
-            // commits, so mcycle/minstret probes stay exact.
+            // translated prefix exits to this pc, where the lookup
+            // misses again and the interpreter runs the op with
+            // per-instruction counter commits, so mcycle/minstret
+            // probes stay exact (and an illegal op traps at its pc).
             translatable = false;
             break;
         }
         if (!translatable)
             break;
-        blk.ops.push_back(op);
-        blk.worstTotal += top.worstCost;
+        ops[n++] = op;
+        worst_total += worstCost(d);
         pc += 4;
         if (terminal)
             break;
     }
-    if (blk.ops.empty())
+    if (n == 0)
         return nullptr; // first op already strict: nothing to run here
     if (!terminal) {
-        // The block ended on the op cap, a straight-line boundary, or
-        // a strict-op cutoff: chain to the next pc (no guest cost, no
+        // The block ended on the op cap, the window's end, or a
+        // strict-op cutoff: chain to the next pc (no guest cost, no
         // retirement).
-        DbtOp op;
-        op.opcode = DbtOpcode::kFallthrough;
-        op.imm = std::int32_t(pc);
-        blk.ops.push_back(op);
+        DbtOp &tail = ops[n++];
+        tail.opcode = DbtOpcode::kFallthrough;
+        tail.imm = std::int32_t(pc);
     }
 #if FS_DBT_COMPUTED_GOTO
-    for (DbtOp &op : blk.ops)
-        op.handler = dbt_labels_[std::size_t(op.opcode)];
+    for (std::size_t i = 0; i < n; ++i)
+        ops[i].handler = dbt_labels_[std::size_t(ops[i].opcode)];
 #endif
+    DbtBlock blk;
+    blk.base = pc_;
+    blk.worstTotal = worst_total;
+    blk.ops.assign(ops.begin(), ops.begin() + std::ptrdiff_t(n));
     return dbt_.insert(std::move(blk));
 }
 
@@ -941,8 +757,7 @@ dispatch:
     // time-sync hook sees exactly the interpreter's cycle count, then
     // flags the dispatch exit via slow_event_ (checked at the next
     // chain point -- MMIO *reads* never move an event horizon or
-    // raise an interrupt, so finishing the block is exact; see
-    // TraceBlock's flag docs).
+    // raise an interrupt, so finishing the block is exact).
 #define FS_DBT_LOAD(width, transform)                                  \
     do {                                                               \
         const std::uint32_t addr =                                     \
@@ -1066,11 +881,11 @@ branch_taken:
     // fall through to the chain follow (target in op->imm)
 
 chain_follow: {
-    // Direct block->block transfer. The guard set matches the lean
-    // trace path's block boundary exactly: bail to the outer loop on
-    // a slow event or pending interrupt, and never enter a successor
-    // whose worst case could cross the event horizon. Links are
-    // patched lazily on first use and unlinked on eviction/flush.
+    // Direct block->block transfer. The guard set matches runDecoded's
+    // dispatch loop exactly: bail to it on a slow event or pending
+    // interrupt, and never enter a successor whose worst case could
+    // cross the event horizon. Links are patched lazily on first use
+    // and unlinked on eviction/flush.
     const std::uint32_t target = std::uint32_t(op->imm);
     DbtBlock *next = op->chain;
     if (next == nullptr) {
@@ -1127,8 +942,7 @@ Hart::reset(std::uint32_t pc)
     wfi_ = false;
     halted_ = false;
     // Reset commonly follows reloading code memory (tests load a new
-    // image and reset): decoded blocks must not outlive the image.
-    trace_.flush();
+    // image and reset): translated blocks must not outlive the image.
     dbt_.flush();
 }
 

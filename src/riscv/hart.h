@@ -8,16 +8,16 @@
  * cycle-accurate microarchitecture: what the reproduction needs is a
  * faithful software execution substrate with energy-relevant timing.
  *
- * Execution has three tiers that are bit-identical by construction.
- * The slow path (step) fetches and decodes one instruction at a time
- * through riscv::decode() into executeDecoded(). The fast path
- * (runDecoded) dispatches pre-decoded basic blocks from a TraceCache
- * -- fed through the same decoder -- and serves loads/fetches from
- * the bus's direct host-pointer windows. Hot trace blocks are then
- * promoted to a third tier, threaded code in a DbtCache, which chains
- * block-to-block without returning to the dispatch loop (see dbt.h).
- * FS_NO_TRACE_CACHE disables both fast tiers; FS_NO_DBT disables just
- * the translation tier.
+ * Execution has two tiers that are bit-identical by construction.
+ * The reference interpreter (step) fetches and decodes one instruction
+ * at a time through riscv::decode() into executeDecoded(). The fast
+ * path (runDecoded) translates each basic block on its first dispatch
+ * -- through the same decoder, straight from the bus's direct
+ * host-pointer windows -- into threaded code in a DbtCache, which
+ * chains block-to-block without returning to the dispatch loop (see
+ * dbt.h). Strict ops (system/CSR/custom) and the ops just before an
+ * event horizon exit the fast path and run on the interpreter.
+ * FS_NO_TRACE_CACHE disables the fast path.
  */
 
 #ifndef FS_RISCV_HART_H_
@@ -32,7 +32,6 @@
 #include "riscv/decoder.h"
 #include "riscv/encoding.h"
 #include "riscv/memory.h"
-#include "riscv/trace_cache.h"
 
 namespace fs {
 namespace riscv {
@@ -82,13 +81,13 @@ class Hart
 
     /**
      * The complete architectural state: everything execution depends
-     * on besides memory contents. Cached/translated blocks (trace
-     * cache, DBT) are deliberately excluded -- they are derived state,
-     * valid for as long as the code bytes they were decoded from. A
-     * caller that restores memory alongside an ArchState must call
-     * invalidateCode() on every range whose bytes it rewrote (or
-     * invalidateTraceCache() to drop everything); blocks over bytes
-     * it left alone stay valid.
+     * on besides memory contents. Translated blocks are deliberately
+     * excluded -- they are derived state, valid for as long as the
+     * code bytes they were decoded from. A caller that restores
+     * memory alongside an ArchState must call invalidateCode() on
+     * every range whose bytes it rewrote (or invalidateTraceCache()
+     * to drop everything); blocks over bytes it left alone stay
+     * valid.
      */
     struct ArchState {
         std::array<std::uint32_t, 32> regs{};
@@ -150,50 +149,38 @@ class Hart
     std::uint64_t run(std::uint64_t max_cycles);
 
     /**
-     * Fast path: execute pre-decoded basic blocks until just under
-     * `budget` cycles are spent, an event boundary is reached (WFI,
-     * halt, pending interrupt), or an op touches slow-path state
-     * (MMIO, coprocessor) that may have moved an event horizon.
-     * Guarantees the return value < budget, so a caller that bounds
-     * budget by its next external event (kill cycle, sample latch)
-     * keeps that event on the exact interpreter cycle. Returns 0 when
-     * the trace cache is disabled or the pc is outside direct-window
-     * memory; the caller then falls back to step().
+     * Fast path: execute translated blocks (translating each on its
+     * first dispatch) until the next block's worst case no longer
+     * fits strictly under `budget`, an interrupt is pending, or an op
+     * touches slow-path state (MMIO) that may have moved an event
+     * horizon. Guarantees the return value < budget, so a caller that
+     * bounds budget by its next external event (kill cycle, sample
+     * latch) keeps that event on the exact interpreter cycle. Returns
+     * the cycles spent so far -- 0 when nothing ran -- as soon as the
+     * pc has no translation (outside direct-window memory, or a strict
+     * op first); the caller then falls back to step().
      */
     std::uint64_t runDecoded(std::uint64_t budget);
 
-    // --- trace cache control ---
+    // --- fast-path control ---
+    /** True when the fast path (DBT plus direct-window memory access)
+     *  is on; false pins the hart to the interpreter. Defaults to on
+     *  unless FS_NO_TRACE_CACHE is set (a historical name). */
     bool traceCacheEnabled() const { return trace_on_; }
-    /** Toggle the trace cache at runtime (flushes on any change). */
+    /** Toggle the fast path at runtime (flushes on any change). */
     void setTraceCacheEnabled(bool on);
-    /** Drop all cached/translated blocks in every tier (call after
-     *  rewriting code memory). */
-    void
-    invalidateTraceCache()
-    {
-        trace_.flush();
-        dbt_.flush();
-    }
-    /** Drop the cached/translated blocks of any tier whose code extent
-     *  overlaps [addr, addr+bytes) (call after rewriting that range
-     *  behind the hart's back). */
+    /** Drop all translated blocks (call after rewriting code
+     *  memory). */
+    void invalidateTraceCache() { dbt_.flush(); }
+    /** Drop the translated blocks if their code extent overlaps
+     *  [addr, addr+bytes) (call after rewriting that range behind the
+     *  hart's back). */
     void
     invalidateCode(std::uint32_t addr, unsigned bytes)
     {
-        if (trace_.overlapsCode(addr, bytes))
-            trace_.flush();
         if (dbt_.overlapsCode(addr, bytes))
             dbt_.flush();
     }
-    const TraceCache &traceCache() const { return trace_; }
-
-    // --- DBT tier control ---
-    /** True when hot trace blocks are promoted to threaded code. The
-     *  tier only engages while the trace cache is enabled (it is fed
-     *  by trace-cache blocks). */
-    bool dbtEnabled() const { return dbt_on_; }
-    /** Toggle the DBT tier at runtime (flushes its cache on change). */
-    void setDbtEnabled(bool on);
     const DbtCache &dbtCache() const { return dbt_; }
     DbtCache &dbtCache() { return dbt_; }
 
@@ -213,7 +200,7 @@ class Hart
 
     /**
      * Restore a captured architectural state. Does not touch the
-     * trace/DBT caches: callers that also restore memory must follow
+     * translation cache: callers that also restore memory must follow
      * up with invalidateCode() over the bytes they rewrote.
      */
     void restoreArch(const ArchState &state);
@@ -229,15 +216,16 @@ class Hart
     void store(std::uint32_t addr, std::uint32_t value, unsigned bytes);
     const DirectWindow *findWindow(std::uint32_t addr, unsigned bytes);
     void syncSlowAccess();
-    const TraceBlock *buildBlock();
     std::uint64_t worstCost(const Decoded &d) const;
 
-    /** Lower a hot trace block into threaded code and insert it into
-     *  the DBT cache. Translation covers the prefix up to (not
-     *  including) the first strict op -- system/CSR/custom ops stay
-     *  on the trace tier -- and returns nullptr when that prefix is
-     *  empty. */
-    DbtBlock *translateBlock(const TraceBlock &src);
+    /** Decode the basic block at pc_ from its direct window, lower it
+     *  into threaded code and insert it into the DBT cache. The block
+     *  ends at a jal/jalr, at kMaxBlockOps, at the window's end, or
+     *  just before the first strict (system/CSR/custom) or illegal
+     *  op, which runs on the interpreter. Returns nullptr when that
+     *  leaves nothing to translate (pc outside direct-window memory,
+     *  or a strict op first). */
+    DbtBlock *translateBlock();
 
     /**
      * Execute translated blocks starting at @p block, chaining
@@ -264,10 +252,8 @@ class Hart
     bool halted_ = false;
 
     // --- fast-path state ---
-    TraceCache trace_;
     bool trace_on_;
     DbtCache dbt_;
-    bool dbt_on_;
     /** Computed-goto handler table, published by the first runDbt
      *  call (label addresses only exist inside the executor). */
     const void *const *dbt_labels_ = nullptr;

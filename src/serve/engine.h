@@ -5,7 +5,7 @@
  *
  * Execution rides the repo's deterministic primitives — NSGA-II's
  * pre-drawn RNG batches, TortureRig::runKills' order-preserving
- * fan-out, the ISS's bit-exact trace-cache/interpreter equivalence —
+ * fan-out, the ISS's bit-exact DBT/interpreter equivalence —
  * so a response is byte-identical whether it is computed cold, read
  * from the content-addressed cache, deduplicated inside a batch, or
  * produced with 1 or 8 worker threads. That invariant is what makes

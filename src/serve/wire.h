@@ -273,7 +273,7 @@ bool mergeTortureResult(TortureResult &into, const TortureResult &shard,
 /** Run one guest workload to completion on a bare FRAM+SRAM machine. */
 struct GuestRunJob {
     WorkloadSpec workload;
-    std::uint8_t traceCache = 1;
+    std::uint8_t traceCache = 1; ///< 1 = fast path (DBT), 0 = interpreter
 };
 
 struct GuestRunResult {

@@ -90,8 +90,8 @@ class Soc
 
     /**
      * Run until the app signals completion or the budget expires.
-     * When the hart's trace cache is enabled, execution proceeds in
-     * pre-decoded chunks bounded by eventHorizon(), falling back to
+     * When the hart's fast path is enabled, execution proceeds in
+     * translated chunks bounded by eventHorizon(), falling back to
      * per-instruction step() for every horizon-crossing instruction;
      * results are bit-identical to the pure step() loop.
      */
@@ -136,7 +136,7 @@ class Soc
      * page differs by pointer from the one the previous restore left
      * there. Any direct mutation since then (a mutable data() call,
      * image loads) forces a full copy instead. SRAM is copied in
-     * full. The hart's trace/DBT blocks survive unless a copied range
+     * full. The hart's translated blocks survive unless a copied range
      * overlaps their code. The restore base holds its own references
      * to the pages, so @p snap may be destroyed afterwards.
      */

@@ -3,11 +3,10 @@
  * DBT-tier mechanics: translation-cache bookkeeping (insert, lookup,
  * byte-budget eviction, chain link/unlink hygiene), superblock
  * chaining on a live hart, eviction under a tiny cache budget with
- * results still bit-identical to the interpreter, self-modifying-code
- * flushes of translated code, and the FS_NO_DBT /
- * FS_DBT_CACHE_BYTES / FS_DBT_HOT_THRESHOLD environment knobs.
- * Tier *equivalence* (interp vs. trace vs. DBT over random programs,
- * full SoC scenarios, torture campaigns) lives in
+ * results still bit-identical to the interpreter, and the
+ * FS_NO_TRACE_CACHE / FS_DBT_CACHE_BYTES environment knobs. Tier
+ * *equivalence* (interp vs. DBT over random programs, full SoC
+ * scenarios, torture campaigns, self-modifying code) lives in
  * test_trace_cache.cc.
  */
 
@@ -173,31 +172,40 @@ TEST(DbtCache, SelfLoopUnlinkedOnEviction)
 
 TEST(DbtCache, EnvKillSwitchDisablesTier)
 {
+    // A tiny program the fast path would otherwise translate.
     riscv::Ram ram(256);
-    setenv("FS_NO_DBT", "1", 1);
-    EXPECT_FALSE(DbtCache::enabledByEnv());
+    ram.loadWords(0, {riscv::addi(riscv::kA0, riscv::kA0, 1),
+                      riscv::addi(riscv::kA0, riscv::kA0, 2),
+                      riscv::ebreak()});
+    setenv("FS_NO_TRACE_CACHE", "1", 1);
     riscv::Hart off(ram);
-    EXPECT_FALSE(off.dbtEnabled());
-    EXPECT_TRUE(off.traceCacheEnabled()) << "trace tier unaffected";
-    unsetenv("FS_NO_DBT");
-    EXPECT_TRUE(DbtCache::enabledByEnv());
+    unsetenv("FS_NO_TRACE_CACHE");
+    EXPECT_FALSE(off.traceCacheEnabled());
+    off.reset(0);
+    EXPECT_EQ(off.runDecoded(100), 0u) << "fast path must be off";
+    off.run(100);
+    EXPECT_TRUE(off.halted());
+    EXPECT_EQ(off.reg(riscv::kA0), 3u);
+    EXPECT_EQ(off.dbtCache().stats().translations, 0u);
+
     riscv::Hart on(ram);
-    EXPECT_TRUE(on.dbtEnabled());
+    EXPECT_TRUE(on.traceCacheEnabled());
+    on.reset(0);
+    EXPECT_EQ(on.runDecoded(100), 2u) << "both addis run translated";
+    EXPECT_EQ(on.dbtCache().stats().translations, 1u);
+    on.run(100);
+    EXPECT_TRUE(on.halted());
+    EXPECT_EQ(on.reg(riscv::kA0), 3u);
 }
 
-TEST(DbtCache, EnvBudgetAndHotThreshold)
+TEST(DbtCache, EnvBudget)
 {
     setenv("FS_DBT_CACHE_BYTES", "65536", 1);
-    setenv("FS_DBT_HOT_THRESHOLD", "9", 1);
     DbtCache tuned;
     EXPECT_EQ(tuned.budgetBytes(), 65536u);
-    EXPECT_EQ(tuned.hotThreshold(), 9u);
     unsetenv("FS_DBT_CACHE_BYTES");
-    unsetenv("FS_DBT_HOT_THRESHOLD");
     DbtCache defaults;
     EXPECT_EQ(defaults.budgetBytes(), DbtCache::kDefaultBudgetBytes);
-    EXPECT_EQ(defaults.hotThreshold(),
-              DbtCache::kDefaultHotThreshold);
 }
 
 // ---------------------------------------------------------------------
@@ -247,9 +255,7 @@ runNestedLoops(bool dbt, std::size_t budget_bytes, std::uint64_t chunk)
     riscv::Ram ram(4096);
     ram.loadWords(0, nestedLoopProgram(40, 25));
     riscv::Hart hart(ram);
-    hart.setTraceCacheEnabled(true);
-    hart.setDbtEnabled(dbt);
-    hart.dbtCache().setHotThreshold(2);
+    hart.setTraceCacheEnabled(dbt);
     if (budget_bytes != 0)
         hart.dbtCache().setBudgetBytes(budget_bytes);
     hart.reset(0);
@@ -299,6 +305,55 @@ TEST(DbtHart, TinyCacheBudgetEvictsAndStaysExact)
     EXPECT_EQ(interp.a0, choppy.a0);
     EXPECT_EQ(interp.cycles, choppy.cycles);
     EXPECT_EQ(interp.instret, choppy.instret);
+}
+
+TEST(DbtHart, BlocksAndChainsStayStrictlyUnderTheBudget)
+{
+    // Block A: two ALU ops and a jal (worst case 1 + 1 + 2 = 4 cycles);
+    // block B at the jal target: two ALU ops (worst case 2), then the
+    // ebreak, which is never translated.
+    using namespace riscv;
+    Assembler as(0);
+    const auto b = as.newLabel();
+    as.emit(addi(kA0, kA0, 1));
+    as.emit(addi(kA0, kA0, 1));
+    as.jTo(b);
+    as.bind(b);
+    const std::uint32_t b_pc = as.here();
+    as.emit(addi(kA0, kA0, 1));
+    as.emit(addi(kA0, kA0, 1));
+    const std::uint32_t ebreak_pc = as.here();
+    as.emit(ebreak());
+    riscv::Ram ram(256);
+    ram.loadWords(0, as.finalize());
+    riscv::Hart hart(ram);
+    hart.setTraceCacheEnabled(true);
+    hart.reset(0);
+
+    // A block whose worst case could reach the budget does not run:
+    // the caller's step() takes the next op on the interpreter.
+    EXPECT_EQ(hart.runDecoded(4), 0u);
+    EXPECT_EQ(hart.pc(), 0u);
+
+    // Run both blocks once so B is translated too; the ebreak then
+    // hands back with no translation.
+    EXPECT_EQ(hart.runDecoded(7), 6u);
+    EXPECT_EQ(hart.pc(), ebreak_pc);
+    EXPECT_EQ(hart.runDecoded(100), 0u);
+    EXPECT_EQ(hart.dbtCache().stats().translations, 2u);
+
+    // A fits, but chaining into B would reach the budget: stop at B.
+    hart.setPc(0);
+    EXPECT_EQ(hart.runDecoded(6), 4u);
+    EXPECT_EQ(hart.pc(), b_pc);
+
+    // One more cycle of budget and A chains straight into B.
+    hart.setPc(0);
+    const std::uint64_t transfers = hart.dbtCache().stats().chainTransfers;
+    EXPECT_EQ(hart.runDecoded(7), 6u);
+    EXPECT_EQ(hart.pc(), ebreak_pc);
+    EXPECT_EQ(hart.dbtCache().stats().chainTransfers, transfers + 1);
+    EXPECT_FALSE(hart.halted());
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Snapshot-fork fault grading tests: PagedImage copy-on-write
  * semantics, full-SoC snapshot save/restore bit-identity across the
- * interpreter/trace-cache/DBT tiers, snapshot interaction with power
+ * interpreter and DBT tiers, snapshot interaction with power
  * failures, forked torture campaigns against the replay-from-boot
  * reference (with and without convergence memoization, at 1 and 8
  * threads), the v2 wire format's exhaustive point-range shards and
@@ -239,13 +239,11 @@ fingerprint(soc::Soc &sys)
 struct Tier {
     const char *name;
     const char *noTrace; ///< FS_NO_TRACE_CACHE value (null = unset)
-    const char *noDbt;   ///< FS_NO_DBT value (null = unset)
 };
 
 constexpr Tier kTiers[] = {
-    {"dbt", nullptr, nullptr},
-    {"trace", nullptr, "1"},
-    {"interp", "1", nullptr},
+    {"dbt", nullptr},
+    {"interp", "1"},
 };
 
 TEST(SocSnapshot, RestoreResumesBitIdenticallyOnEveryTier)
@@ -254,7 +252,6 @@ TEST(SocSnapshot, RestoreResumesBitIdenticallyOnEveryTier)
     for (const Tier &tier : kTiers) {
         SCOPED_TRACE(tier.name);
         EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
-        EnvGuard dbt("FS_NO_DBT", tier.noDbt);
 
         SocBench original = makeBench();
         original.soc->loadGuest(prog);
@@ -351,7 +348,6 @@ TEST(SocSnapshot, DeltaRestoreMatchesFullRestoreAcrossForkChains)
     for (const Tier &tier : kTiers) {
         SCOPED_TRACE(tier.name);
         EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
-        EnvGuard dbt("FS_NO_DBT", tier.noDbt);
 
         const std::vector<soc::Snapshot> snaps =
             goldenSnapshots(prog, {2'000, 9'000, 20'000, 35'000});
@@ -403,21 +399,21 @@ TEST(SocSnapshot, DeltaRestoreMatchesFullRestoreAcrossForkChains)
 TEST(SocSnapshot, RestoreKeepsTranslationsOfUntouchedCode)
 {
     EnvGuard trace("FS_NO_TRACE_CACHE", nullptr);
-    EnvGuard dbt("FS_NO_DBT", nullptr);
     const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
     const std::vector<soc::Snapshot> snaps =
         goldenSnapshots(prog, {15'000});
     SocBench b = makeBench();
     b.soc->restoreSnapshot(snaps[0]);
-    b.soc->run(20'000); // decode and translate the hot loop
+    b.soc->run(20'000); // translate the hot loop
     ASSERT_FALSE(b.soc->appFinished());
-    const std::uint64_t flushes = b.soc->hart().traceCache().flushes();
-    ASSERT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+    const riscv::DbtCache &dbt = b.soc->hart().dbtCache();
+    const std::uint64_t flushes = dbt.stats().flushes;
+    ASSERT_GT(dbt.blockCount(), 0u);
 
     // Only data pages changed since the last restore: the blocks stay.
     b.soc->restoreSnapshot(snaps[0]);
-    EXPECT_GT(b.soc->hart().traceCache().blockCount(), 0u);
-    EXPECT_EQ(b.soc->hart().traceCache().flushes(), flushes);
+    EXPECT_GT(dbt.blockCount(), 0u);
+    EXPECT_EQ(dbt.stats().flushes, flushes);
     b.soc->run(60'000'000);
     ASSERT_TRUE(b.soc->appFinished());
     EXPECT_EQ(b.soc->guestResult(prog), prog.expected);
@@ -426,15 +422,15 @@ TEST(SocSnapshot, RestoreKeepsTranslationsOfUntouchedCode)
 TEST(SocSnapshot, PowerFailKeepsFramBlocksAndDropsSramBlocks)
 {
     EnvGuard trace("FS_NO_TRACE_CACHE", nullptr);
-    EnvGuard dbt("FS_NO_DBT", nullptr);
     const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
     SocBench b = makeBench();
     b.soc->loadGuest(prog);
     b.soc->powerOn();
     b.soc->run(20'000);
-    ASSERT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+    const riscv::DbtCache &dbt = b.soc->hart().dbtCache();
+    ASSERT_GT(dbt.blockCount(), 0u);
     b.soc->powerFail();
-    EXPECT_GT(b.soc->hart().traceCache().blockCount(), 0u)
+    EXPECT_GT(dbt.blockCount(), 0u)
         << "FRAM code survives an outage; its blocks should too";
 
     // Code in SRAM decays with it, and so must its blocks.
@@ -446,9 +442,9 @@ TEST(SocSnapshot, PowerFailKeepsFramBlocksAndDropsSramBlocks)
     b.soc->run(100);
     ASSERT_TRUE(b.soc->appFinished());
     ASSERT_EQ(b.soc->hart().reg(kA0), 43u);
-    ASSERT_GT(b.soc->hart().traceCache().blockCount(), 0u);
+    ASSERT_GT(dbt.blockCount(), 0u);
     b.soc->powerFail();
-    EXPECT_EQ(b.soc->hart().traceCache().blockCount(), 0u);
+    EXPECT_EQ(dbt.blockCount(), 0u);
 }
 
 /** Iterations of selfPatchingProgram() before its patch lands. */
@@ -507,7 +503,6 @@ TEST(SocSnapshot, StoreIntoCachedCodeBetweenRestoresForcesRedecode)
     for (const Tier &tier : kTiers) {
         SCOPED_TRACE(tier.name);
         EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
-        EnvGuard dbt("FS_NO_DBT", tier.noDbt);
 
         // Fork point: well into the loop (hot, translated), before the
         // patch lands.

@@ -1,17 +1,16 @@
 /**
  * @file
- * Execution-tier equivalence tests: the pre-decoded block path and the
- * DBT threaded-code tier above it must be bit-identical to the pure
- * interpreter -- same architectural state, same cycle counts, same
- * torture-campaign outcomes at any thread count. Covers the
- * FS_NO_TRACE_CACHE kill switch, the cache's own bookkeeping, full-SoC
- * guest workloads (steady power and a forced
- * checkpoint/power-failure/resume), a seeded decoder<->executor
- * differential fuzzer over random legal RV32IM programs run three ways
- * (interp/trace/DBT, including choppy event-horizon budgets), and
- * self-modifying code (store into cached or translated code must
- * flush). DBT-cache-specific mechanics (chaining, eviction, unlink)
- * live in test_dbt.cc.
+ * Execution-tier equivalence tests: the fast path (DBT threaded code,
+ * with strict ops and horizon-crossing ops handed to the interpreter)
+ * must be bit-identical to the pure interpreter -- same architectural
+ * state, same cycle counts, same torture-campaign outcomes at any
+ * thread count. Covers full-SoC guest workloads (steady power and a
+ * forced checkpoint/power-failure/resume), a seeded decoder<->executor
+ * differential fuzzer over random legal RV32IM programs run both ways
+ * (including choppy and tight event-horizon budgets), and
+ * self-modifying code (a store into translated code must flush).
+ * DBT-cache-specific mechanics (chaining, eviction, unlink, the
+ * environment knobs) live in test_dbt.cc.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "riscv/decoder.h"
 #include "riscv/hart.h"
 #include "riscv/memory.h"
-#include "riscv/trace_cache.h"
 #include "soc/guest_programs.h"
 #include "soc/soc.h"
 #include "util/parallel.h"
@@ -38,93 +36,17 @@ namespace fs {
 namespace {
 
 /** Which execution tiers a hart under test may use. */
-enum class Mode { kInterp, kTrace, kDbt };
+enum class Mode { kInterp, kDbt };
 
-/** Pin a hart to exactly one top tier (kDbt translates immediately so
- *  short tests exercise threaded code, not just the trace tier). */
+/** Pin a hart to the interpreter, or let it take the fast path. */
 void
 configureHart(riscv::Hart &hart, Mode mode)
 {
-    hart.setTraceCacheEnabled(mode != Mode::kInterp);
-    hart.setDbtEnabled(mode == Mode::kDbt);
-    if (mode == Mode::kDbt)
-        hart.dbtCache().setHotThreshold(1);
-}
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-    case Mode::kInterp: return "interp";
-    case Mode::kTrace: return "trace";
-    default: return "dbt";
-    }
+    hart.setTraceCacheEnabled(mode == Mode::kDbt);
 }
 
 // ---------------------------------------------------------------------
-// TraceCache bookkeeping
-// ---------------------------------------------------------------------
-
-riscv::TraceBlock
-makeBlock(std::uint32_t base, std::size_t ops)
-{
-    riscv::TraceBlock block;
-    block.base = base;
-    for (std::size_t i = 0; i < ops; ++i) {
-        riscv::TraceOp op;
-        op.inst = riscv::decode(riscv::addi(1, 1, 1));
-        block.ops.push_back(op);
-    }
-    return block;
-}
-
-TEST(TraceCache, LookupInsertFlushAndCodeExtent)
-{
-    riscv::TraceCache cache;
-    EXPECT_EQ(cache.lookup(0x100), nullptr); // miss on empty
-    cache.insert(makeBlock(0x100, 4));
-    cache.insert(makeBlock(0x200, 2));
-    EXPECT_EQ(cache.blockCount(), 2u);
-
-    const riscv::TraceBlock *b = cache.lookup(0x100);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->base, 0x100u);
-    EXPECT_EQ(b->ops.size(), 4u);
-    EXPECT_EQ(b->byteSpan(), 16u);
-    // Second lookup must hit the direct-mapped slot installed by the
-    // first and return the identical block.
-    EXPECT_EQ(cache.lookup(0x100), b);
-
-    // The conservative code extent spans both blocks.
-    EXPECT_TRUE(cache.overlapsCode(0x100, 4));
-    EXPECT_TRUE(cache.overlapsCode(0x204, 4));
-    EXPECT_TRUE(cache.overlapsCode(0x1fc, 8)); // straddles
-    EXPECT_FALSE(cache.overlapsCode(0x0fc, 4)); // just below
-    EXPECT_FALSE(cache.overlapsCode(0x208, 4)); // just above
-
-    const std::uint64_t gen = cache.generation();
-    cache.flush();
-    EXPECT_EQ(cache.blockCount(), 0u);
-    EXPECT_GT(cache.generation(), gen);
-    EXPECT_EQ(cache.lookup(0x100), nullptr); // slots cleared too
-    EXPECT_FALSE(cache.overlapsCode(0x100, 4));
-}
-
-TEST(TraceCache, EnvKillSwitchDisablesCache)
-{
-    riscv::Ram ram(256);
-    setenv("FS_NO_TRACE_CACHE", "1", 1);
-    EXPECT_FALSE(riscv::TraceCache::enabledByEnv());
-    riscv::Hart off(ram);
-    EXPECT_FALSE(off.traceCacheEnabled());
-    unsetenv("FS_NO_TRACE_CACHE");
-    EXPECT_TRUE(riscv::TraceCache::enabledByEnv());
-    riscv::Hart on(ram);
-    EXPECT_TRUE(on.traceCacheEnabled());
-}
-
-// ---------------------------------------------------------------------
-// Full-SoC guest workloads, interpreter vs. trace cache
+// Full-SoC guest workloads, interpreter vs. DBT
 // ---------------------------------------------------------------------
 
 /** Everything observable about a finished SoC run. */
@@ -167,7 +89,7 @@ expectSameSnapshot(const SocSnapshot &a, const SocSnapshot &b,
  * peripheral). When @p force_checkpoint is set, the supply dips below
  * the checkpoint threshold mid-run, power then fails outright, and the
  * app resumes from its checkpoint after power returns -- the complete
- * intermittent-computation cycle under the trace cache.
+ * intermittent-computation cycle on the fast path.
  */
 SocSnapshot
 runSocScenario(const soc::GuestProgram &prog, Mode mode,
@@ -215,14 +137,11 @@ runSocScenario(const soc::GuestProgram &prog, Mode mode,
     return snap;
 }
 
-TEST(TraceCacheSoc, GuestWorkloadsBitIdenticalSteadyPower)
+TEST(FastPathSoc, GuestWorkloadsBitIdenticalSteadyPower)
 {
     for (const auto &prog : soc::standardWorkloads()) {
         const SocSnapshot interp =
             runSocScenario(prog, Mode::kInterp, false);
-        const SocSnapshot traced =
-            runSocScenario(prog, Mode::kTrace, false);
-        expectSameSnapshot(interp, traced, prog.name);
         const SocSnapshot translated =
             runSocScenario(prog, Mode::kDbt, false);
         expectSameSnapshot(interp, translated,
@@ -230,14 +149,12 @@ TEST(TraceCacheSoc, GuestWorkloadsBitIdenticalSteadyPower)
     }
 }
 
-TEST(TraceCacheSoc, CheckpointPowerFailResumeBitIdentical)
+TEST(FastPathSoc, CheckpointPowerFailResumeBitIdentical)
 {
     const soc::GuestProgram prog = soc::makeCrc32Program(4096, 11);
     const SocSnapshot interp =
         runSocScenario(prog, Mode::kInterp, true);
-    const SocSnapshot traced = runSocScenario(prog, Mode::kTrace, true);
     EXPECT_GE(interp.newestSeq, 1u);
-    expectSameSnapshot(interp, traced, prog.name + "+checkpoint");
     const SocSnapshot translated =
         runSocScenario(prog, Mode::kDbt, true);
     expectSameSnapshot(interp, translated,
@@ -245,7 +162,7 @@ TEST(TraceCacheSoc, CheckpointPowerFailResumeBitIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Torture-campaign identity: cache on/off x 1 and 8 threads
+// Torture-campaign identity: fast path on/off x 1 and 8 threads
 // ---------------------------------------------------------------------
 
 void
@@ -274,7 +191,7 @@ expectSameOutcomes(const std::vector<fault::TortureOutcome> &a,
     }
 }
 
-TEST(TraceCacheTorture, CampaignBitIdenticalAcrossCacheAndThreads)
+TEST(FastPathTorture, CampaignBitIdenticalAcrossTiersAndThreads)
 {
     const soc::GuestProgram prog = soc::makeCrc32Program(1024, 5);
     fault::TortureConfig config;
@@ -314,34 +231,23 @@ TEST(TraceCacheTorture, CampaignBitIdenticalAcrossCacheAndThreads)
     const auto off8 = rig_off.runKills(kills, &pool8);
     unsetenv("FS_NO_TRACE_CACHE");
 
-    // Trace tier only: the DBT kill switch stays set for the replays.
-    setenv("FS_NO_DBT", "1", 1);
-    fault::TortureRig rig_trace(prog, config);
-    const auto trace1 = rig_trace.runKills(kills, &pool1);
-    const auto trace8 = rig_trace.runKills(kills, &pool8);
-    unsetenv("FS_NO_DBT");
-
-    // All tiers up: hot blocks run as threaded code mid-campaign.
+    // Fast path on: blocks run as threaded code mid-campaign.
     fault::TortureRig rig_dbt(prog, config);
     const auto dbt1 = rig_dbt.runKills(kills, &pool1);
     const auto dbt8 = rig_dbt.runKills(kills, &pool8);
 
     // The instrumented clean runs must agree before any kill does.
-    for (fault::TortureRig *rig : {&rig_trace, &rig_dbt}) {
-        EXPECT_EQ(rig_off.cleanRunCycles(), rig->cleanRunCycles());
-        ASSERT_EQ(rig_off.checkpointCount(), rig->checkpointCount());
-        for (std::size_t i = 0; i < rig->checkpointCount(); ++i) {
-            EXPECT_EQ(rig_off.commitWindow(i).begin,
-                      rig->commitWindow(i).begin);
-            EXPECT_EQ(rig_off.commitWindow(i).end,
-                      rig->commitWindow(i).end);
-        }
+    EXPECT_EQ(rig_off.cleanRunCycles(), rig_dbt.cleanRunCycles());
+    ASSERT_EQ(rig_off.checkpointCount(), rig_dbt.checkpointCount());
+    for (std::size_t i = 0; i < rig_dbt.checkpointCount(); ++i) {
+        EXPECT_EQ(rig_off.commitWindow(i).begin,
+                  rig_dbt.commitWindow(i).begin);
+        EXPECT_EQ(rig_off.commitWindow(i).end,
+                  rig_dbt.commitWindow(i).end);
     }
 
     expectSameOutcomes(off1, off8, "interp 1 vs 8 threads");
-    expectSameOutcomes(trace1, trace8, "trace 1 vs 8 threads");
     expectSameOutcomes(dbt1, dbt8, "dbt 1 vs 8 threads");
-    expectSameOutcomes(off1, trace1, "interp vs trace");
     expectSameOutcomes(off1, dbt1, "interp vs dbt");
 }
 
@@ -527,7 +433,8 @@ struct FuzzResult {
 };
 
 /** Execute a fuzz image to ebreak, in chunks of @p chunk cycles (odd
- *  small chunks stress the block executors' budget bailouts). */
+ *  small chunks stress the budget guards and the hand-off to the
+ *  interpreter). */
 FuzzResult
 runFuzzProgram(const std::vector<riscv::Word> &code,
                const std::vector<std::uint8_t> &data, Mode mode,
@@ -570,7 +477,7 @@ expectSameFuzzResult(const FuzzResult &a, const FuzzResult &b,
     EXPECT_EQ(a.mem, b.mem) << label << " memory image";
 }
 
-TEST(TraceCacheFuzz, RandomProgramsBitIdenticalThreeWay)
+TEST(FastPathFuzz, RandomProgramsBitIdenticalTwoWay)
 {
     std::uint64_t total_translations = 0;
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
@@ -582,20 +489,19 @@ TEST(TraceCacheFuzz, RandomProgramsBitIdenticalThreeWay)
         const std::string label = "seed " + std::to_string(seed);
         const FuzzResult interp =
             runFuzzProgram(code, data, Mode::kInterp, 1u << 20);
-        for (const Mode mode : {Mode::kTrace, Mode::kDbt}) {
-            const FuzzResult fast =
-                runFuzzProgram(code, data, mode, 1u << 20);
-            expectSameFuzzResult(interp, fast,
-                                 label + " " + modeName(mode));
-            // Choppy budgets force mid-block horizon stops, re-entry,
-            // and (for DBT) entry/chain budget-guard bailouts.
+        const FuzzResult fast =
+            runFuzzProgram(code, data, Mode::kDbt, 1u << 20);
+        expectSameFuzzResult(interp, fast, label + " dbt");
+        total_translations += fast.translations;
+        // Choppy and tight budgets force entry/chain budget-guard
+        // bailouts and hand the ops before each horizon to the
+        // interpreter, then re-enter translated code mid-block.
+        for (const std::uint64_t chunk : {13u, 5u, 2u}) {
             const FuzzResult choppy =
-                runFuzzProgram(code, data, mode, 13);
+                runFuzzProgram(code, data, Mode::kDbt, chunk);
             expectSameFuzzResult(interp, choppy,
-                                 label + " " + modeName(mode) +
-                                     " chunk=13");
-            if (mode == Mode::kDbt)
-                total_translations += fast.translations;
+                                 label + " dbt chunk=" +
+                                     std::to_string(chunk));
         }
     }
     // The DBT runs must actually have exercised threaded code (the
@@ -607,7 +513,7 @@ TEST(TraceCacheFuzz, RandomProgramsBitIdenticalThreeWay)
 // Self-modifying code
 // ---------------------------------------------------------------------
 
-TEST(TraceCacheFuzz, SelfModifyingStoreFlushesAndStaysExact)
+TEST(FastPathFuzz, SelfModifyingStoreFlushesAndStaysExact)
 {
     using namespace riscv;
     // Pass 1 executes `addi a0, a0, 1`, then patches that very word to
@@ -632,37 +538,31 @@ TEST(TraceCacheFuzz, SelfModifyingStoreFlushesAndStaysExact)
     as.emit(ebreak());
     const auto code = as.finalize();
 
-    FuzzResult results[3];
-    const Mode modes[3] = {Mode::kInterp, Mode::kTrace, Mode::kDbt};
-    for (int m = 0; m < 3; ++m) {
+    FuzzResult results[2];
+    for (const Mode mode : {Mode::kInterp, Mode::kDbt}) {
+        const bool dbt = mode == Mode::kDbt;
         riscv::Ram ram(4096);
         ram.loadWords(0, code);
         riscv::Hart hart(ram);
-        configureHart(hart, modes[m]);
+        configureHart(hart, mode);
         hart.reset(0);
         while (!hart.halted() && hart.cycles() < 100'000)
             hart.run(64);
         ASSERT_TRUE(hart.halted());
-        EXPECT_EQ(hart.reg(kA0), 101u) << modeName(modes[m]);
-        if (modes[m] != Mode::kInterp) {
-            EXPECT_GE(hart.traceCache().flushes(), 1u);
-        }
-        if (modes[m] == Mode::kDbt) {
+        EXPECT_EQ(hart.reg(kA0), 101u) << (dbt ? "dbt" : "interp");
+        if (dbt) {
             // The patch store must have invalidated translated code.
             EXPECT_GE(hart.dbtCache().stats().translations, 1u);
             EXPECT_GE(hart.dbtCache().stats().flushes, 1u);
         }
-        results[m].pc = hart.pc();
-        results[m].cycles = hart.cycles();
-        results[m].instret = hart.instructionsRetired();
+        FuzzResult &res = results[dbt ? 1 : 0];
+        res.pc = hart.pc();
+        res.cycles = hart.cycles();
+        res.instret = hart.instructionsRetired();
     }
-    for (int m = 1; m < 3; ++m) {
-        EXPECT_EQ(results[0].pc, results[m].pc) << modeName(modes[m]);
-        EXPECT_EQ(results[0].cycles, results[m].cycles)
-            << modeName(modes[m]);
-        EXPECT_EQ(results[0].instret, results[m].instret)
-            << modeName(modes[m]);
-    }
+    EXPECT_EQ(results[0].pc, results[1].pc);
+    EXPECT_EQ(results[0].cycles, results[1].cycles);
+    EXPECT_EQ(results[0].instret, results[1].instret);
 }
 
 } // namespace
