@@ -21,9 +21,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "util/bench_report.h"
 #include "util/parallel.h"
 #include "util/table.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -169,16 +169,6 @@ main(int argc, char **argv)
     for (const BenchRun &run : runs)
         for (const std::string &line : run.failLines)
             std::printf("%s: %s\n", run.name.c_str(), line.c_str());
-
-    // The 1-thread baseline is the sum of the individual bench times:
-    // that is exactly what a sequential driver would take.
-    util::BenchReport report("bench_all");
-    report.add({"suite", elapsed, double(runs.size()),
-                pool.threadCount(),
-                serial_seconds > 0.0
-                    ? double(runs.size()) / serial_seconds
-                    : 0.0});
-    report.write();
 
     std::printf("\n%zu benches, %d failure%s, %.1f s wall "
                 "(%.1f s of bench time)\n",

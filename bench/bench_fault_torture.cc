@@ -12,7 +12,7 @@
  * "campaign" and "campaign_dbt" phases), then with snapshot forking
  * ("campaign_snapshot") and with forking plus convergence memoization
  * ("campaign_snapshot_converge", the default runKills() path). All
- * four summaries must byte-match; the perf ledger records each
+ * four summaries must byte-match; the [perf] lines print each
  * phase's kills/sec against the from-boot DBT baseline plus the
  * snapshot memory high-water mark, and the converge phase asserts a
  * >= 10x rate floor over that baseline.
@@ -29,10 +29,10 @@
 #include "bench_common.h"
 #include "fault/torture_rig.h"
 #include "soc/guest_programs.h"
-#include "util/bench_report.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/table.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -232,26 +232,8 @@ main(int argc, char **argv)
     tallyCampaign(outcomes, first_kill_of_window, windows,
                   random_begin, window_tally, random_tally);
 
-    // Measured 1-thread rate over a small prefix, for the speedup
-    // column of the perf ledger (skipped when already single-threaded).
-    double baseline_rate = 0.0;
-    if (pool.threadCount() > 1) {
-        util::ThreadPool one(1);
-        const std::size_t probe =
-            std::min<std::size_t>(kills.size(), 40);
-        util::Timer probe_timer;
-        rig.runKills({kills.begin(), kills.begin() + probe}, &one);
-        baseline_rate = double(probe) / probe_timer.seconds();
-    }
-    util::BenchReport report("bench_fault_torture");
-    report.add({"campaign", elapsed, double(kills.size()),
-                pool.threadCount(), baseline_rate});
-
     // Campaign 2: the identical kill list with the DBT tier up. The
-    // translation tier must not change a single outcome bit; its
-    // kills/sec lands in the ledger next to the baseline, with the
-    // interpreter campaign's rate in the baseline column so the tier
-    // speedup is machine readable.
+    // translation tier must not change a single outcome bit.
     if (!fast_forced_off)
         unsetenv("FS_NO_TRACE_CACHE");
     TortureRig rig_dbt(soc::makeCrc32Program(4096, 11), config);
@@ -259,19 +241,16 @@ main(int argc, char **argv)
     const std::vector<TortureOutcome> outcomes_dbt =
         rig_dbt.runKills(kills, &pool);
     const double elapsed_dbt = timer_dbt.seconds();
-    report.add({"campaign_dbt", elapsed_dbt, double(kills.size()),
-                pool.threadCount(), double(kills.size()) / elapsed});
 
     Tally dbt_window, dbt_random;
     tallyCampaign(outcomes_dbt, first_kill_of_window, windows,
                   random_begin, dbt_window, dbt_random);
 
     // Campaign 3: fork each replay from the nearest golden snapshot,
-    // convergence memoization off, so the ledger separates the two
-    // mechanisms. Campaign 4 is the default runKills() path (snapshot
-    // fork + convergence early-exit). Both must reproduce the
-    // from-boot summaries byte for byte; the baseline column holds
-    // the from-boot DBT rate so the speedup is machine readable.
+    // convergence memoization off, so the [perf] line separates the
+    // two mechanisms. Campaign 4 is the default runKills() path
+    // (snapshot fork + convergence early-exit). Both must reproduce
+    // the from-boot summaries byte for byte.
     if (!snapshot_forced_off)
         unsetenv("FS_NO_SNAPSHOT");
     TortureRig rig_snap(soc::makeCrc32Program(4096, 11), config);
@@ -280,24 +259,15 @@ main(int argc, char **argv)
     const std::vector<TortureOutcome> outcomes_snap =
         rig_snap.runKills(kills, &pool);
     const double elapsed_snap = timer_snap.seconds();
-    report.add({"campaign_snapshot", elapsed_snap,
-                double(kills.size()), pool.threadCount(),
-                double(kills.size()) / elapsed_dbt});
 
     TortureRig rig_conv(soc::makeCrc32Program(4096, 11), config);
     util::Timer timer_conv;
     const std::vector<TortureOutcome> outcomes_conv =
         rig_conv.runKills(kills, &pool);
     const double elapsed_conv = timer_conv.seconds();
-    report.add({"campaign_snapshot_converge", elapsed_conv,
-                double(kills.size()), pool.threadCount(),
-                double(kills.size()) / elapsed_dbt});
     const std::size_t snap_mem =
         std::max(rig_snap.snapshotMemoryBytes(),
                  rig_conv.snapshotMemoryBytes());
-    report.add({"snapshot_mem_bytes", 0.0, double(snap_mem),
-                pool.threadCount(), 0.0});
-    report.write();
 
     Tally snap_window, snap_random, conv_window, conv_random;
     tallyCampaign(outcomes_snap, first_kill_of_window, windows,

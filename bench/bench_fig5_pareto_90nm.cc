@@ -13,8 +13,6 @@
 #include "dse/fs_design_space.h"
 #include "dse/pareto.h"
 #include "serve/client.h"
-#include "util/bench_report.h"
-#include "util/parallel.h"
 #include "util/table.h"
 
 int
@@ -28,33 +26,10 @@ main()
     dse::Nsga2::Options opts;
     opts.populationSize = 72;
     opts.generations = 40;
-    util::Timer timer;
     // Offloads to an fs_served daemon when FS_SERVE_SOCKET is set
     // (bit-identical front either way); runs in-process otherwise.
     auto front = serve::exploreDesignSpaceServed(
         circuit::Technology::node90(), opts);
-    const double elapsed = timer.seconds();
-    const std::size_t threads =
-        util::ThreadPool::shared().threadCount();
-    const double evals = double(opts.populationSize) *
-                         double(opts.generations + 1);
-
-    // Measured 1-thread rate over a short run (same population, fewer
-    // generations) for the perf ledger's speedup column.
-    double baseline_rate = 0.0;
-    if (threads > 1) {
-        dse::Nsga2::Options probe = opts;
-        probe.generations = 4;
-        probe.threads = 1;
-        util::Timer probe_timer;
-        dse::exploreDesignSpace(circuit::Technology::node90(), probe);
-        baseline_rate = double(probe.populationSize) *
-                        double(probe.generations + 1) /
-                        probe_timer.seconds();
-    }
-    util::BenchReport report("bench_fig5_pareto_90nm");
-    report.add({"explore", elapsed, evals, threads, baseline_rate});
-    report.write();
 
     TablePrinter table;
     table.columns({"configuration", "I mean (uA)", "granularity (mV)",

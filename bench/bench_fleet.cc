@@ -5,18 +5,13 @@
  * of running under an active chaos plan. Every routed response is
  * checked byte-identical to direct single-node execution while being
  * timed -- the fleet's whole value is that scaling out and surviving
- * faults never changes a single answer byte. Phases land in
- * BENCH_perf.json: fleet_1w/2w/4w/8w carry routed throughput
- * (baselineRatePerSec = the 1-worker rate, so speedup fields read as
- * scaling), fleet_hedge_off/on carry p99 latency in `seconds`, and
- * fleet_chaos carries chaos-on throughput at 4 workers.
+ * faults never changes a single answer byte.
  *
  * Workers execute on a single-threaded engine each, so the scaling
  * phases show parallel speedup only when the host has spare cores;
  * on a saturated (or single-core) host they instead show that the
  * router's fan-out overhead stays flat as the fleet grows -- either
- * reading is meaningful, which is why the 1-worker rate is recorded
- * as the baseline.
+ * reading is meaningful.
  *
  *   $ ./bench_fleet [requests-per-phase]
  */
@@ -35,8 +30,8 @@
 #include "fleet/fleet.h"
 #include "fleet/router.h"
 #include "serve/engine.h"
-#include "util/bench_report.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -148,9 +143,6 @@ main(int argc, char **argv)
         reference.push_back(
             serve::encodeResponsePayload(direct.execute(req)));
 
-    util::BenchReport report("bench_fleet");
-    double rate_1w = 0.0;
-
     // Throughput scaling: 1 -> 8 workers, same workload, no chaos.
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
         Fleet::Options fopts;
@@ -166,10 +158,6 @@ main(int argc, char **argv)
         Router router(ropts);
         const PhaseResult r = drive(router, jobs, reference, clients);
         const double rate = double(n) / r.seconds;
-        if (workers == 1)
-            rate_1w = rate;
-        report.add({"fleet_" + std::to_string(workers) + "w",
-                    r.seconds, double(n), workers, rate_1w});
         std::printf("%zu worker%s: %6.1f req/s  p50 %5.2f ms  "
                     "p99 %5.2f ms\n",
                     workers, workers == 1 ? " " : "s", rate, r.p50Ms,
@@ -205,8 +193,6 @@ main(int argc, char **argv)
         ropts.hedgeAfterMs = hedge ? 8 : 0;
         Router router(ropts);
         const PhaseResult r = drive(router, jobs, reference, clients);
-        report.add({hedge ? "fleet_hedge_on" : "fleet_hedge_off",
-                    r.p99Ms / 1e3, double(n), 4, 0.0});
         std::printf("hedge %-3s (slow worker): p50 %5.2f ms  "
                     "p99 %5.2f ms  hedges=%llu wins=%llu\n",
                     hedge ? "on" : "off", r.p50Ms, r.p99Ms,
@@ -241,7 +227,6 @@ main(int argc, char **argv)
         ropts.retry.backoffMaxMs = 20;
         Router router(ropts);
         const PhaseResult r = drive(router, jobs, reference, clients);
-        report.add({"fleet_chaos", r.seconds, double(n), 4, rate_1w});
         std::printf("4 workers + chaos: %6.1f req/s  p99 %5.2f ms  "
                     "faults=%llu retries=%llu\n",
                     double(n) / r.seconds, r.p99Ms,
@@ -251,6 +236,5 @@ main(int argc, char **argv)
         fleet.stop();
     }
 
-    report.write();
     return 0;
 }

@@ -4,8 +4,7 @@
  * firmware image must certify clean, the two seeded-bug demos must be
  * flagged with the right finding, and the runtime's static commit
  * bound must sit above the dynamically measured cost but inside the
- * monitor's warning window. Also times the analyzer itself so
- * BENCH_perf.json tracks lint throughput.
+ * monitor's warning window.
  */
 
 #include <algorithm>
@@ -20,7 +19,7 @@
 #include "riscv/assembler.h"
 #include "soc/conversion_firmware.h"
 #include "soc/soc.h"
-#include "util/bench_report.h"
+#include "util/timer.h"
 
 int
 main()
@@ -29,9 +28,6 @@ main()
     bench::banner("fs-lint",
                   "static WAR / checkpoint-reachability analysis over "
                   "all firmware images");
-
-    util::Timer timer;
-    std::size_t images = 0;
 
     // Shipping images: standard workloads + conversion routine.
     bool shippingClean = true;
@@ -46,7 +42,6 @@ main()
     for (const soc::GuestProgram &program : workloads) {
         const analysis::LintReport report =
             analysis::lintGuestProgram(program);
-        ++images;
         std::printf("  %-12s %zu blocks, %zu findings, %s\n",
                     program.name.c_str(), report.blocks,
                     report.findings.size(),
@@ -63,7 +58,6 @@ main()
         analysis::commitBudgetSeconds(core::FsConfig{}, 0.04);
     const analysis::LintReport runtime =
         analysis::lintCheckpointRuntime(layout, 100, budget);
-    ++images;
     std::printf("  runtime: %llu cycles worst-case commit "
                 "(budget %llu), %zu findings\n",
                 static_cast<unsigned long long>(
@@ -106,9 +100,6 @@ main()
         analysis::lintGuestProgram(soc::makeNvmAccumulateProgram(16));
     const analysis::LintReport spin =
         analysis::lintGuestProgram(soc::makeIrqOffSpinProgram());
-    images += 2;
-
-    const double elapsed = timer.seconds();
 
     // Static-vs-dynamic certification across every demo image: the
     // torture rig measures each workload's real commit windows, and
@@ -221,20 +212,5 @@ main()
                       sameVerdicts && !fullOutcomes.empty());
     bench::shapeCheck("grouping skipped kills sharing a death image",
                       prune.skippedKills > 0);
-
-    util::BenchReport report("bench_fs_lint");
-    report.add({"lint", elapsed, double(images), 1, 0.0});
-    report.add({"torture_full", fullSeconds, double(kills.size()), 1,
-                0.0});
-    report.add({"torture_pruned", prunedSeconds, double(kills.size()),
-                1, 0.0});
-    report.add({"pruned_kills_skipped", prunedSeconds,
-                double(prune.skippedKills), 1, 0.0});
-    // Perf-ledger trajectory of the static certificate: the item
-    // count carries the worst-case commit-cycle bound so the ledger
-    // tracks it PR over PR.
-    report.add({"commit_bound_cycles", runtime.analysisSeconds,
-                double(runtime.worstCaseCommitCycles), 1, 0.0});
-    report.write();
     return 0;
 }

@@ -8,13 +8,11 @@
  * After the google-benchmark suite, main() runs the guest-workload
  * MIPS harness: every bench workload executes once per rep on a bare
  * FRAM+SRAM SoC on both execution tiers (interpreter, DBT), results
- * checked against the host oracle and the measured rates recorded in
- * BENCH_perf.json (phases *_mips_interp / *_mips_dbt; the DBT phase
- * carries the interpreter's rate as baselineRatePerSec, so speedup is
- * machine readable). The aggregate asserts the DBT tier's >= 6x floor
- * over the interpreter (skipped under sanitizers or
- * FS_BENCH_NO_FLOOR), and a `dbt-stats:` JSON line surfaces the
- * tier's translation/chaining counters for CI artifacts.
+ * checked against the host oracle and each tier's MIPS printed. The
+ * aggregate asserts the DBT tier's >= 6x floor over the interpreter
+ * (skipped under sanitizers or FS_BENCH_NO_FLOOR), and a
+ * `dbt-stats:` JSON line surfaces the tier's translation/chaining
+ * counters for CI artifacts.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,8 +26,8 @@
 #include "riscv/assembler.h"
 #include "riscv/hart.h"
 #include "soc/soc.h"
-#include "util/bench_report.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -275,7 +273,6 @@ floorDisabled()
 void
 reportGuestMips()
 {
-    util::BenchReport report("bench_micro_runtime");
     GuestRun interp_total, dbt_total;
     std::printf("\nguest-workload MIPS, interp vs. DBT\n");
     for (const auto &prog : benchWorkloads()) {
@@ -289,20 +286,11 @@ reportGuestMips()
         std::printf("  %-8s %8.1f -> %8.1f MIPS (dbt %.2fx)\n",
                     prog.name.c_str(), off_rate / 1e6, on_rate / 1e6,
                     on_rate / off_rate);
-        report.add({prog.name + "_mips_interp", off.seconds,
-                    double(off.instructions), 1, 0.0});
-        report.add({prog.name + "_mips_dbt", on.seconds,
-                    double(on.instructions), 1, off_rate});
     }
     const double base_rate =
         double(interp_total.instructions) / interp_total.seconds;
     const double dbt_rate =
         double(dbt_total.instructions) / dbt_total.seconds;
-    report.add({"guest_mips_interp", interp_total.seconds,
-                double(interp_total.instructions), 1, 0.0});
-    report.add({"guest_mips_dbt", dbt_total.seconds,
-                double(dbt_total.instructions), 1, base_rate});
-    report.write();
     std::printf("  aggregate %.1f -> %.1f MIPS (dbt %.2fx over interp)\n",
                 base_rate / 1e6, dbt_rate / 1e6, dbt_rate / base_rate);
 

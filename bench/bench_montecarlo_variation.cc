@@ -17,7 +17,6 @@
 
 #include "bench_common.h"
 #include "core/failure_sentinels.h"
-#include "util/bench_report.h"
 #include "util/numeric.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -62,7 +61,6 @@ main()
         double worstOwn = 0.0;
         double worstRef = 0.0;
     };
-    util::Timer timer;
     util::ThreadPool &pool = util::ThreadPool::shared();
     const std::vector<ChipResult> results =
         pool.parallelMap(kChips, [&](std::size_t chip) {
@@ -84,7 +82,6 @@ main()
             }
             return r;
         });
-    const double elapsed = timer.seconds();
     for (const ChipResult &r : results) {
         raw_counts.add(r.rawCount);
         enrolled_error.add(r.worstOwn);
@@ -108,11 +105,6 @@ main()
               TablePrinter::num(unenrolled_error.min() * 1e3, 1),
               TablePrinter::num(unenrolled_error.max() * 1e3, 1));
     table.print(std::cout);
-
-    util::BenchReport report("bench_montecarlo_variation");
-    report.add({"chips", elapsed, double(kChips), pool.threadCount(),
-                0.0});
-    report.write();
 
     bench::paperNote("identical ROs on different chips produce "
                      "different frequencies under the same conditions; "

@@ -5,10 +5,9 @@
  * content-addressed result cache, plus batched duplicate requests.
  * Verifies the determinism contract while timing it: the cached and
  * batched response bytes, and a cold run at 8 worker threads, must be
- * byte-identical to the 1-thread cold run. Phases land in
- * BENCH_perf.json (dse_cold carries the cold latency; dse_cached's
- * baselineRatePerSec is the cold rate, so its speedup_vs_1t field is
- * the measured cache speedup -- the acceptance floor is 10x).
+ * byte-identical to the 1-thread cold run. The summary line prints
+ * the cold latencies and the measured cache speedup, and warns below
+ * the 10x acceptance floor.
  *
  *   $ ./bench_serve [cached-repeats]
  */
@@ -17,8 +16,8 @@
 #include <cstdlib>
 
 #include "serve/engine.h"
-#include "util/bench_report.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -48,8 +47,6 @@ main(int argc, char **argv)
     job.seed = 0x5eed;
     const Request req = job;
 
-    util::BenchReport report("bench_serve");
-
     // Cold, 1 worker thread.
     Engine one(options(1));
     util::Timer timer;
@@ -57,7 +54,6 @@ main(int argc, char **argv)
     const double cold_seconds = timer.seconds();
     if (cold.fromCache || cold.kind == MsgKind::kErrorReply)
         fatal("cold serve must execute and succeed");
-    report.add({"dse_cold", cold_seconds, 1.0, 1, 0.0});
 
     // Cold, 8 worker threads: must be byte-identical.
     Engine eight(options(8));
@@ -66,8 +62,6 @@ main(int argc, char **argv)
     const double cold8_seconds = timer.seconds();
     if (cold8.payload != cold.payload)
         fatal("8-thread cold response differs from 1-thread bytes");
-    report.add({"dse_cold_8t", cold8_seconds, 1.0, 8,
-                1.0 / cold_seconds});
 
     // Cached repeats against the warm 1-thread engine.
     timer.reset();
@@ -79,8 +73,6 @@ main(int argc, char **argv)
             fatal("cached response differs from cold bytes");
     }
     const double cached_seconds = timer.seconds();
-    report.add({"dse_cached", cached_seconds, double(repeats), 1,
-                1.0 / cold_seconds});
 
     // A batch of duplicates through a fresh engine: one execution,
     // identical bytes for every copy.
@@ -93,8 +85,6 @@ main(int argc, char **argv)
     for (const ServedResponse &r : served)
         if (r.payload != cold.payload)
             fatal("batched response differs from cold bytes");
-    report.add({"dse_batch16", batch_seconds, double(batch.size()), 8,
-                1.0 / cold_seconds});
 
     const double per_hit = cached_seconds / double(repeats);
     const double speedup =
@@ -105,7 +95,5 @@ main(int argc, char **argv)
                 batch.size(), batch_seconds);
     if (speedup < 10.0)
         warn("cache speedup ", speedup, "x is below the 10x floor");
-
-    report.write();
     return 0;
 }

@@ -1,14 +1,12 @@
 /**
  * @file
  * Swarm benchmark: fleet-scale device simulation throughput and the
- * cost of combining shard aggregates. Three phases land in
- * BENCH_perf.json: swarm_devices carries end-to-end devices/sec for a
- * full office-profile run (baselineRatePerSec = the 1-thread rate, so
- * the speedup field reads as parallel scaling), swarm_devices_8t the
- * same workload at 8 threads, and swarm_merge the rate at which
- * per-shard SwarmAggregates fold into a fleet-wide total -- the merge
- * is the serial tail of every sharded run, so it must stay cheap
- * relative to simulation.
+ * cost of combining shard aggregates. It prints end-to-end
+ * devices/sec for a full office-profile run at 1 thread and at 8
+ * threads (their ratio is the parallel scaling), and the rate at
+ * which per-shard SwarmAggregates fold into a fleet-wide total -- the
+ * merge is the serial tail of every sharded run, so it must stay
+ * cheap relative to simulation.
  *
  * The bench is also a correctness gate: it asserts a sanity floor on
  * devices/sec (an order of magnitude under the slowest observed
@@ -28,9 +26,9 @@
 
 #include "serve/wire.h"
 #include "swarm/swarm.h"
-#include "util/bench_report.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -72,8 +70,6 @@ main(int argc, char **argv)
         argc > 1 ? std::size_t(std::atol(argv[1])) : 10'000;
     const SwarmConfig cfg = baseConfig(devices);
 
-    util::BenchReport report("bench_swarm");
-
     // Phase 1: end-to-end simulation throughput, 1 thread then 8.
     // The two runs double as a bit-identity check.
     double rate_1t = 0.0;
@@ -91,8 +87,6 @@ main(int argc, char **argv)
         } else if (aggregateBytes(agg) != bytes_1t) {
             fatal("8-thread aggregate differs from 1-thread bytes");
         }
-        report.add({threads == 1 ? "swarm_devices" : "swarm_devices_8t",
-                    seconds, double(devices), threads, rate_1t});
         std::printf("%zu thread%s: %8.0f devices/s  (%zu devices, "
                     "%.2f s)\n",
                     threads, threads == 1 ? " " : "s", rate, devices,
@@ -154,7 +148,6 @@ main(int argc, char **argv)
         }
         const double seconds = timer.seconds();
         const double rate = double(merges) / seconds;
-        report.add({"swarm_merge", seconds, double(merges), 1, 0.0});
         std::printf("merge: %8.0f shard-merges/s  (%zu merges, "
                     "%.3f s)\n",
                     rate, merges, seconds);
@@ -162,7 +155,5 @@ main(int argc, char **argv)
             fatal("merge throughput sanity floor failed: ", rate,
                   " < 50/s");
     }
-
-    report.write();
     return 0;
 }

@@ -10,9 +10,9 @@
 
 #include "core/fs_config.h"
 #include "runtime/energy_model.h"
-#include "util/bench_report.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace fs {
 namespace analysis {

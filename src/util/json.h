@@ -2,8 +2,8 @@
  * @file
  * Minimal shared JSON output helpers.
  *
- * Several subsystems emit machine-readable JSON (the bench perf
- * ledger, fs-lint reports, the serve tools). Before this header each
+ * Several subsystems emit machine-readable JSON (fs-lint reports,
+ * the serve tools, bench summaries). Before this header each
  * of them hand-rolled its own string building and none escaped
  * embedded quotes or backslashes in names. escape() implements the
  * full RFC 8259 string escaping rules, and Writer is a small

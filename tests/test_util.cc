@@ -6,16 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <thread>
-
 #include <cstdlib>
+#include <sstream>
 
-#include "util/bench_report.h"
 #include "util/csv.h"
 #include "util/env.h"
 #include "util/json.h"
@@ -474,126 +468,6 @@ TEST(Json, WriterEmitsNestedStructure)
     EXPECT_EQ(w.str(), "{\"name\":\"we\\\"ird\\\\name\",\"count\":42,"
                        "\"ratio\":0.5,\"ok\":true,\"list\":[1,2],"
                        "\"nested\":{\"x\":-1}}");
-}
-
-namespace {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-util::BenchReport
-makeReport(const std::string &name)
-{
-    util::BenchReport report(name);
-    report.add({"phase", 0.5, 100.0, 1, 0.0});
-    return report;
-}
-
-} // namespace
-
-TEST(BenchReport, WriteMergedPreservesOtherEntries)
-{
-    const std::string path =
-        testing::TempDir() + "fs_ledger_merge.json";
-    std::remove(path.c_str());
-    ASSERT_TRUE(makeReport("alpha").writeMerged(path));
-    ASSERT_TRUE(makeReport("beta").writeMerged(path));
-    const std::string text = readFile(path);
-    EXPECT_NE(text.find("\"alpha\""), std::string::npos);
-    EXPECT_NE(text.find("\"beta\""), std::string::npos);
-    EXPECT_NE(text.find("\"items_per_sec\":200"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(BenchReport, WriteMergedEscapesHostileBenchNames)
-{
-    const std::string path =
-        testing::TempDir() + "fs_ledger_escape.json";
-    std::remove(path.c_str());
-    // A name with a quote and a backslash must neither corrupt the
-    // ledger nor be lost by the next merge.
-    ASSERT_TRUE(makeReport("we\"ird\\bench").writeMerged(path));
-    ASSERT_TRUE(makeReport("normal").writeMerged(path));
-    const std::string text = readFile(path);
-    EXPECT_NE(text.find("\"we\\\"ird\\\\bench\""), std::string::npos);
-    EXPECT_NE(text.find("\"normal\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(BenchReport, WriteMergedRecoversCorruptedLedger)
-{
-    const std::string path =
-        testing::TempDir() + "fs_ledger_corrupt.json";
-    {
-        std::ofstream out(path);
-        out << "{\n  \"salvageable\": {\"phases\":[]},\n"
-               "  \"broken\": {\"phases\": [ this is not json";
-    }
-    ASSERT_TRUE(makeReport("fresh").writeMerged(path));
-    const std::string text = readFile(path);
-    EXPECT_NE(text.find("\"salvageable\""), std::string::npos);
-    EXPECT_NE(text.find("\"fresh\""), std::string::npos);
-    EXPECT_EQ(text.find("not json"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(BenchReport, WriteMergedRecoversTruncatedLedger)
-{
-    const std::string path =
-        testing::TempDir() + "fs_ledger_truncated.json";
-    std::remove(path.c_str());
-    ASSERT_TRUE(makeReport("whole").writeMerged(path));
-    const std::string full = readFile(path);
-    {
-        // Chop the ledger mid-entry, as a crashed writer would.
-        std::ofstream out(path, std::ios::trunc);
-        out << full.substr(0, full.size() / 2);
-    }
-    ASSERT_TRUE(makeReport("after").writeMerged(path));
-    const std::string text = readFile(path);
-    EXPECT_NE(text.find("\"after\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(BenchReport, WriteMergedSurvivesConcurrentWriters)
-{
-    const std::string path =
-        testing::TempDir() + "fs_ledger_concurrent.json";
-    std::remove(path.c_str());
-    constexpr int kWriters = 8;
-    constexpr int kRounds = 5;
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w)
-        writers.emplace_back([&, w] {
-            const std::string name =
-                "bench-" + std::to_string(w);
-            for (int r = 0; r < kRounds; ++r)
-                EXPECT_TRUE(makeReport(name).writeMerged(path));
-        });
-    for (std::thread &t : writers)
-        t.join();
-    // The flock serializes merges: every writer's entry survives,
-    // exactly once, and the result is one balanced object.
-    const std::string text = readFile(path);
-    for (int w = 0; w < kWriters; ++w) {
-        const std::string key =
-            "\"bench-" + std::to_string(w) + "\"";
-        std::size_t count = 0;
-        for (std::size_t pos = text.find(key);
-             pos != std::string::npos;
-             pos = text.find(key, pos + 1))
-            ++count;
-        EXPECT_EQ(count, 1u) << key;
-    }
-    EXPECT_EQ(std::count(text.begin(), text.end(), '{'),
-              std::count(text.begin(), text.end(), '}'));
-    std::remove(path.c_str());
 }
 
 /** Scoped setenv/unsetenv for knob tests. */
