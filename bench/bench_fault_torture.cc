@@ -29,6 +29,7 @@
 #include "bench_common.h"
 #include "fault/torture_rig.h"
 #include "soc/guest_programs.h"
+#include "util/env.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -194,16 +195,14 @@ main(int argc, char **argv)
     // FS_NO_SNAPSHOT so the snapshot phases below have an honest
     // reference, respecting an externally forced value (CI's
     // determinism legs set it themselves).
-    const bool snapshot_forced_off =
-        std::getenv("FS_NO_SNAPSHOT") != nullptr;
+    const bool snapshot_forced_off = util::envFlag("FS_NO_SNAPSHOT");
     setenv("FS_NO_SNAPSHOT", "1", 1);
 
     // Campaign 1: interpreter only. The kill switch must stay set for
     // the replays (every replay builds a fresh hart that reads the
     // environment at construction); respect an externally forced-off
     // fast path so CI's FS_NO_TRACE_CACHE leg measures what it says.
-    const bool fast_forced_off =
-        std::getenv("FS_NO_TRACE_CACHE") != nullptr;
+    const bool fast_forced_off = util::envFlag("FS_NO_TRACE_CACHE");
     setenv("FS_NO_TRACE_CACHE", "1", 1);
     util::Timer timer;
     const std::vector<TortureOutcome> outcomes =

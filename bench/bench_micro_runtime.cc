@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "calib/error_bounds.h"
 #include "core/performance_model.h"
@@ -26,6 +25,7 @@
 #include "riscv/assembler.h"
 #include "riscv/hart.h"
 #include "soc/soc.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -267,7 +267,7 @@ floorDisabled()
     return true;
 #endif
 #endif
-    return std::getenv("FS_BENCH_NO_FLOOR") != nullptr;
+    return util::envFlag("FS_BENCH_NO_FLOOR");
 }
 
 void

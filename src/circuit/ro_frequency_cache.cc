@@ -1,13 +1,13 @@
 #include "circuit/ro_frequency_cache.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <tuple>
 
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/numeric.h"
 
@@ -190,7 +190,7 @@ RoFrequencyCache::shared(const Technology &tech, std::size_t stages,
 bool
 RoFrequencyCache::enabled()
 {
-    static const bool on = std::getenv("FS_NO_RO_CACHE") == nullptr;
+    static const bool on = !util::envFlag("FS_NO_RO_CACHE");
     return on;
 }
 

@@ -30,6 +30,25 @@
  * interpreter at any thread count; FS_NO_TRACE_CACHE disables the tier
  * (the historical name of the fast-path kill switch).
  *
+ * Cycles and retired instructions are charged once per block exit,
+ * not per op. A block is entered only at its first op and left
+ * through exactly one op, and every op ahead of that exit took its
+ * not-taken path. So when the block leaves through an op, the op's
+ * DbtOp::before (the not-taken cycles of the ops ahead of it) plus
+ * its own cost is everything the block spent, and its index plus one
+ * is everything it retired. ALU, const, load and not-taken branch
+ * handlers touch no counters; each exit charges:
+ *  - taken branch: before + cost2, retiring index + 1;
+ *  - jal / jalr, and a store that bails out (self-modifying store or
+ *    MMIO store): before + cost, retiring index + 1;
+ *  - kFallthrough: before, retiring index (the pseudo-op is not guest
+ *    code).
+ * A load or store that leaves the direct windows (MMIO) commits the
+ * cycles up to its own start (pending plus before) to the hart before
+ * the slow-access hook runs, so the peripheral sees the interpreter's
+ * exact cycle, and rewinds the pending charge by before so the exit
+ * that follows does not count those cycles twice.
+ *
  * Invariants the executor relies on (established by translation):
  *  - pure ALU/const ops with rd == x0 are lowered to kNop (handlers
  *    may write regs[rd] unguarded); loads/jal/jalr keep an rd check
@@ -39,7 +58,10 @@
  *    end of the op array;
  *  - worstTotal bounds the cycles any path through the block can
  *    spend, so the entry/chain budget guards compose with
- *    Soc::eventHorizon.
+ *    Soc::eventHorizon;
+ *  - every direct window spans at least 4 bytes, so the executor's
+ *    one-compare window test (addr - base <= span - width) cannot
+ *    wrap.
  */
 
 #ifndef FS_RISCV_DBT_H_
@@ -58,8 +80,9 @@ namespace riscv {
 struct DbtBlock;
 
 /** Threaded-code opcodes (the switch fallback dispatches on these;
- *  the computed-goto dispatcher uses DbtOp::handler directly). */
-enum class DbtOpcode : std::uint16_t {
+ *  the computed-goto dispatcher uses DbtOp::handler directly). One
+ *  byte, so a DbtOp stays 40 bytes on a 64-bit host. */
+enum class DbtOpcode : std::uint8_t {
     kNop,    ///< fence, and any pure ALU op with rd == x0
     kConst,  ///< rd <- imm (lui, auipc and li pre-folded)
     kAddi, kSlti, kSltiu, kXori, kOri, kAndi, kSlli, kSrli, kSrai,
@@ -80,20 +103,32 @@ enum class DbtOpcode : std::uint16_t {
  * *absolute* target pc for branches/jal/kFallthrough and the folded
  * constant for kConst; `aux` holds the link value (pc+4) for jal/jalr
  * and the post-op exit pc for stores (the only mid-block ops that can
- * force a dispatch exit).
+ * force a dispatch exit). The cycle fields are read only at block
+ * exits and MMIO accesses (see the accounting contract above).
  */
 struct DbtOp {
     const void *handler = nullptr; ///< computed-goto label address
     DbtBlock *chain = nullptr;     ///< direct successor (lazily linked)
     std::int32_t imm = 0;
     std::uint32_t aux = 0;
-    std::uint32_t cost = 0;  ///< cycle cost (not-taken cost for branches)
-    std::uint32_t cost2 = 0; ///< taken cost for branches
+    /** Cycles of this op's not-taken path: what it adds to the
+     *  `before` of the ops after it, and what a jal, jalr or
+     *  bailing-out store charges on top of its own `before`. */
+    std::uint32_t cost = 0;
+    std::uint32_t cost2 = 0;  ///< taken cost for branches
+    /** Not-taken cycles of the block's earlier ops (for kFallthrough,
+     *  of all of them): charged, with this op's own cost, at an exit
+     *  through this op, and committed before an MMIO access. */
+    std::uint32_t before = 0;
     DbtOpcode opcode = DbtOpcode::kNop;
     std::uint8_t rd = 0;
     std::uint8_t rs1 = 0;
     std::uint8_t rs2 = 0;
 };
+
+static_assert(sizeof(DbtOp) == 2 * sizeof(void *) + 24,
+              "DbtOp must stay two pointers, five 32-bit fields and "
+              "four bytes (40 bytes on a 64-bit host)");
 
 /** A translated superblock: contiguous threaded code plus the chain
  *  bookkeeping needed to unlink it on eviction. */

@@ -1,8 +1,8 @@
 #include "riscv/hart.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace fs {
@@ -36,7 +36,7 @@ loadDirect(const std::uint8_t *p, unsigned bytes)
 FsCoprocessor::~FsCoprocessor() = default;
 
 Hart::Hart(MemoryDevice &bus)
-    : bus_(bus), trace_on_(std::getenv("FS_NO_TRACE_CACHE") == nullptr)
+    : bus_(bus), trace_on_(!util::envFlag("FS_NO_TRACE_CACHE"))
 {
 }
 
@@ -137,6 +137,13 @@ Hart::findWindow(std::uint32_t addr, unsigned bytes)
 {
     if (!windows_init_) {
         windows_ = bus_.directWindows();
+        // runDbt's window test (addr - base <= span - width) needs
+        // room for a word; a smaller window takes the bus path.
+        windows_.erase(std::remove_if(windows_.begin(), windows_.end(),
+                                      [](const DirectWindow &w) {
+                                          return w.span < 4;
+                                      }),
+                       windows_.end());
         windows_init_ = true;
     }
     if (mru_window_ < windows_.size() &&
@@ -326,6 +333,7 @@ Hart::translateBlock()
     std::array<DbtOp, DbtCache::kMaxBlockOps + 1> ops;
     std::size_t n = 0;
     std::uint64_t worst_total = 0;
+    std::uint32_t before = 0; // not-taken cycles of ops[0, n)
     const std::uint64_t window_end = std::uint64_t(w->base) + w->span;
     std::uint32_t pc = pc_;
     bool terminal = false;
@@ -465,6 +473,8 @@ Hart::translateBlock()
         }
         if (!translatable)
             break;
+        op.before = before;
+        before += op.cost;
         ops[n++] = op;
         worst_total += worstCost(d);
         pc += 4;
@@ -475,11 +485,12 @@ Hart::translateBlock()
         return nullptr; // first op already strict: nothing to run here
     if (!terminal) {
         // The block ended on the op cap, the window's end, or a
-        // strict-op cutoff: chain to the next pc (no guest cost, no
-        // retirement).
+        // strict-op cutoff: chain to the next pc, charging the whole
+        // block (the pseudo-op itself costs and retires nothing).
         DbtOp &tail = ops[n++];
         tail.opcode = DbtOpcode::kFallthrough;
         tail.imm = std::int32_t(pc);
+        tail.before = before;
     }
 #if FS_DBT_COMPUTED_GOTO
     for (std::size_t i = 0; i < n; ++i)
@@ -493,10 +504,10 @@ Hart::translateBlock()
 }
 
 // Shared handler bodies for both dispatchers: FS_DBT_OP opens a
-// handler (goto label vs. switch case), FS_DBT_NEXT retires the op
-// and dispatches its successor, FS_DBT_ENTER dispatches the current
-// op without retiring (block entry, chain transfer, post-store
-// continue).
+// handler (goto label vs. switch case), FS_DBT_ENTER dispatches the
+// current op (block entry, chain transfer) and FS_DBT_NEXT its
+// successor. Neither touches a counter: only exits charge cycles and
+// retirement (see dbt.h).
 #if FS_DBT_COMPUTED_GOTO
 #define FS_DBT_OP(name) h_##name:
 #define FS_DBT_ENTER() goto *op->handler
@@ -506,7 +517,6 @@ Hart::translateBlock()
 #endif
 #define FS_DBT_NEXT()                                                  \
     do {                                                               \
-        ++retired;                                                     \
         ++op;                                                          \
         FS_DBT_ENTER();                                                \
     } while (0)
@@ -536,11 +546,33 @@ Hart::runDbt(DbtBlock *block, std::uint64_t budget)
         return 0;
 #endif
     const std::uint64_t cycles0 = cycles_;
-    std::uint64_t pending = 0; // cycles not yet committed to cycles_
+    // Cycles charged by exits and not yet committed to cycles_. An
+    // MMIO access rewinds it below zero (it wraps) by the cycles it
+    // committed early; the exit that follows adds them back.
+    std::uint64_t pending = 0;
     std::uint64_t retired = 0; // instret not yet committed
     std::uint64_t chained = 0;
     std::uint32_t *const r = regs_.data();
-    DbtOp *op = block->ops.data();
+    DbtOp *first = block->ops.data(); // op 0 of the current block
+    DbtOp *op = first;
+    // The last direct data window, copied into locals so that a load
+    // or store hit is one compare in registers. The block was
+    // translated from a window, so the table is loaded and
+    // mru_window_ indexes it.
+    const DirectWindow *win = &windows_[mru_window_];
+    std::uint32_t wbase = win->base;
+    std::uint32_t wspan = win->span;
+    const std::uint8_t *wdata = win->data;
+    const auto refill = [&](std::uint32_t addr, unsigned width) {
+        const DirectWindow *w = findWindow(addr, width);
+        if (w == nullptr)
+            return false;
+        win = w;
+        wbase = w->base;
+        wspan = w->span;
+        wdata = w->data;
+        return true;
+    };
     FS_DBT_ENTER();
 
 #if !FS_DBT_COMPUTED_GOTO
@@ -548,88 +580,71 @@ dispatch:
     switch (op->opcode) {
 #endif
 
-    FS_DBT_OP(kNop)
-    {
-        pending += op->cost;
-        FS_DBT_NEXT();
-    }
+    FS_DBT_OP(kNop) { FS_DBT_NEXT(); }
     FS_DBT_OP(kConst)
     {
         r[op->rd] = std::uint32_t(op->imm);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kAddi)
     {
         r[op->rd] = r[op->rs1] + std::uint32_t(op->imm);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSlti)
     {
         r[op->rd] = std::int32_t(r[op->rs1]) < op->imm ? 1u : 0u;
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSltiu)
     {
         r[op->rd] = r[op->rs1] < std::uint32_t(op->imm) ? 1u : 0u;
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kXori)
     {
         r[op->rd] = r[op->rs1] ^ std::uint32_t(op->imm);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kOri)
     {
         r[op->rd] = r[op->rs1] | std::uint32_t(op->imm);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kAndi)
     {
         r[op->rd] = r[op->rs1] & std::uint32_t(op->imm);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSlli)
     {
         r[op->rd] = r[op->rs1] << (std::uint32_t(op->imm) & 0x1f);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSrli)
     {
         r[op->rd] = r[op->rs1] >> (std::uint32_t(op->imm) & 0x1f);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSrai)
     {
         r[op->rd] = std::uint32_t(std::int32_t(r[op->rs1]) >>
                                   (std::uint32_t(op->imm) & 0x1f));
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kAdd)
     {
         r[op->rd] = r[op->rs1] + r[op->rs2];
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSub)
     {
         r[op->rd] = r[op->rs1] - r[op->rs2];
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSll)
     {
         r[op->rd] = r[op->rs1] << (r[op->rs2] & 0x1f);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSlt)
@@ -637,50 +652,42 @@ dispatch:
         r[op->rd] =
             std::int32_t(r[op->rs1]) < std::int32_t(r[op->rs2]) ? 1u
                                                                 : 0u;
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSltu)
     {
         r[op->rd] = r[op->rs1] < r[op->rs2] ? 1u : 0u;
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kXor)
     {
         r[op->rd] = r[op->rs1] ^ r[op->rs2];
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSrl)
     {
         r[op->rd] = r[op->rs1] >> (r[op->rs2] & 0x1f);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kSra)
     {
         r[op->rd] = std::uint32_t(std::int32_t(r[op->rs1]) >>
                                   (r[op->rs2] & 0x1f));
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kOr)
     {
         r[op->rd] = r[op->rs1] | r[op->rs2];
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kAnd)
     {
         r[op->rd] = r[op->rs1] & r[op->rs2];
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kMul)
     {
         r[op->rd] = r[op->rs1] * r[op->rs2];
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kMulh)
@@ -689,7 +696,6 @@ dispatch:
             std::uint32_t((std::int64_t(std::int32_t(r[op->rs1])) *
                            std::int64_t(std::int32_t(r[op->rs2]))) >>
                           32);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kMulhsu)
@@ -698,7 +704,6 @@ dispatch:
             std::uint32_t((std::int64_t(std::int32_t(r[op->rs1])) *
                            std::int64_t(std::uint64_t(r[op->rs2]))) >>
                           32);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kMulhu)
@@ -706,7 +711,6 @@ dispatch:
         r[op->rd] = std::uint32_t((std::uint64_t(r[op->rs1]) *
                                    std::uint64_t(r[op->rs2])) >>
                                   32);
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kDiv)
@@ -720,14 +724,12 @@ dispatch:
         else
             r[op->rd] =
                 std::uint32_t(std::int32_t(a) / std::int32_t(b));
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kDivu)
     {
         const std::uint32_t b = r[op->rs2];
         r[op->rd] = b == 0 ? 0xffffffffu : r[op->rs1] / b;
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kRem)
@@ -741,39 +743,52 @@ dispatch:
         else
             r[op->rd] =
                 std::uint32_t(std::int32_t(a) % std::int32_t(b));
-        pending += op->cost;
         FS_DBT_NEXT();
     }
     FS_DBT_OP(kRemu)
     {
         const std::uint32_t b = r[op->rs2];
         r[op->rd] = b == 0 ? r[op->rs1] : r[op->rs1] % b;
-        pending += op->cost;
         FS_DBT_NEXT();
     }
 
-    // Loads serve the direct-window fast path inline; the slow (MMIO)
-    // path commits the pending cycles first so the peripheral's
-    // time-sync hook sees exactly the interpreter's cycle count, then
-    // flags the dispatch exit via slow_event_ (checked at the next
-    // chain point -- MMIO *reads* never move an event horizon or
-    // raise an interrupt, so finishing the block is exact).
+    // Direct-window test: a hit on the cached window is one unsigned
+    // compare; a miss refills it through findWindow, and a miss there
+    // too is an MMIO access.
+#define FS_DBT_DIRECT(addr, width)                                     \
+    (std::uint32_t((addr) - wbase) <= wspan - (width) ||               \
+     refill(addr, width))
+
+    // An MMIO access commits the cycles up to its own start (the
+    // exits' pending charge plus the block's cycles ahead of this op),
+    // so the peripheral's time-sync hook sees exactly the
+    // interpreter's cycle count. It then rewinds pending by those
+    // in-block cycles, which the block's exit charges again.
+    // syncSlowAccess raises slow_event_, checked at the next chain
+    // point.
+#define FS_DBT_SLOW_SYNC(before)                                       \
+    do {                                                               \
+        cycles_ += pending + (before);                                 \
+        pending = std::uint64_t(0) - (before);                         \
+        syncSlowAccess();                                              \
+    } while (0)
+
+    // Loads serve the direct-window fast path inline. MMIO *reads*
+    // never move an event horizon or raise an interrupt, so a slow
+    // load finishes the block.
 #define FS_DBT_LOAD(width, transform)                                  \
     do {                                                               \
         const std::uint32_t addr =                                     \
             r[op->rs1] + std::uint32_t(op->imm);                       \
         std::uint32_t v;                                               \
-        if (const DirectWindow *w = findWindow(addr, width)) {         \
-            v = loadDirect(w->data + (addr - w->base), width);         \
+        if (FS_DBT_DIRECT(addr, width)) {                              \
+            v = loadDirect(wdata + (addr - wbase), width);             \
         } else {                                                       \
-            cycles_ += pending;                                        \
-            pending = 0;                                               \
-            syncSlowAccess();                                          \
+            FS_DBT_SLOW_SYNC(std::uint64_t(op->before));               \
             v = bus_.read(addr, width);                                \
         }                                                              \
         if (op->rd)                                                    \
             r[op->rd] = transform;                                     \
-        pending += op->cost;                                           \
         FS_DBT_NEXT();                                                 \
     } while (0)
 
@@ -786,33 +801,33 @@ dispatch:
     // Stores mirror Hart::store (flush checks first, virtual device
     // write so NVM filters/tear bookkeeping always run), then re-check
     // the DBT generation: a store into translated code freed this very
-    // op array, so the exit pc is stashed in locals beforehand. MMIO
-    // stores (slow_event_) can move an event horizon and exit too.
+    // op array, so what the exit needs is read into locals beforehand.
+    // MMIO stores (slow_event_) can move an event horizon and exit
+    // too.
 #define FS_DBT_STORE(width)                                            \
     do {                                                               \
         const std::uint32_t addr =                                     \
             r[op->rs1] + std::uint32_t(op->imm);                       \
         const std::uint32_t value = r[op->rs2];                        \
+        const std::uint64_t before = op->before;                       \
+        const std::uint64_t charge = before + op->cost;                \
+        const std::uint64_t count = std::uint64_t(op - first) + 1;     \
         const std::uint32_t next = op->aux;                            \
-        const std::uint32_t cost = op->cost;                           \
         const std::uint64_t gen = dbt_.generation();                   \
         invalidateCode(addr, width);                                   \
-        if (const DirectWindow *w = findWindow(addr, width)) {         \
-            w->device->write(addr - w->deviceBase, value, width);      \
+        if (FS_DBT_DIRECT(addr, width)) {                              \
+            win->device->write(addr - win->deviceBase, value, width);  \
         } else {                                                       \
-            cycles_ += pending;                                        \
-            pending = 0;                                               \
-            syncSlowAccess();                                          \
+            FS_DBT_SLOW_SYNC(before);                                  \
             bus_.write(addr, value, width);                            \
         }                                                              \
-        pending += cost;                                               \
-        ++retired;                                                     \
         if (dbt_.generation() != gen || slow_event_) {                 \
+            pending += charge;                                         \
+            retired += count;                                          \
             pc_ = next;                                                \
             goto done;                                                 \
         }                                                              \
-        ++op;                                                          \
-        FS_DBT_ENTER();                                                \
+        FS_DBT_NEXT();                                                 \
     } while (0)
 
     FS_DBT_OP(kSb) { FS_DBT_STORE(1); }
@@ -823,7 +838,6 @@ dispatch:
     do {                                                               \
         if (cond)                                                      \
             goto branch_taken;                                         \
-        pending += op->cost;                                           \
         FS_DBT_NEXT();                                                 \
     } while (0)
 
@@ -846,8 +860,8 @@ dispatch:
     {
         if (op->rd)
             r[op->rd] = op->aux;
-        pending += op->cost;
-        ++retired;
+        pending += op->before + op->cost;
+        retired += std::uint64_t(op - first) + 1;
         goto chain_follow;
     }
     FS_DBT_OP(kJalr)
@@ -859,25 +873,29 @@ dispatch:
             (r[op->rs1] + std::uint32_t(op->imm)) & ~1u;
         if (op->rd)
             r[op->rd] = op->aux;
-        pending += op->cost;
-        ++retired;
+        pending += op->before + op->cost;
+        retired += std::uint64_t(op - first) + 1;
         pc_ = target;
         goto done;
     }
     FS_DBT_OP(kFallthrough)
     {
-        // Pseudo-op: no guest cost, no retirement.
+        // Pseudo-op: charges the block's ops but retires only them.
+        pending += op->before;
+        retired += std::uint64_t(op - first);
         goto chain_follow;
     }
 
 #if !FS_DBT_COMPUTED_GOTO
+      case DbtOpcode::kCount:
+        break;
     }
     fatal("corrupt DBT opcode at pc 0x", std::hex, pc_);
 #endif
 
 branch_taken:
-    pending += op->cost2;
-    ++retired;
+    pending += op->before + op->cost2;
+    retired += std::uint64_t(op - first) + 1;
     // fall through to the chain follow (target in op->imm)
 
 chain_follow: {
@@ -902,7 +920,7 @@ chain_follow: {
         goto done;
     }
     ++chained;
-    op = next->ops.data();
+    first = op = next->ops.data();
     FS_DBT_ENTER();
 }
 
@@ -919,6 +937,8 @@ done: {
 #undef FS_DBT_OP
 #undef FS_DBT_ENTER
 #undef FS_DBT_NEXT
+#undef FS_DBT_DIRECT
+#undef FS_DBT_SLOW_SYNC
 #undef FS_DBT_LOAD
 #undef FS_DBT_STORE
 #undef FS_DBT_BRANCH

@@ -1,10 +1,12 @@
 #include "serve/result_cache.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include <sys/stat.h>
 #include <unistd.h>
+
+#include "util/env.h"
 
 namespace fs {
 namespace serve {
@@ -17,8 +19,7 @@ ResultCache::ResultCache(std::size_t max_bytes, std::string spill_dir)
 bool
 ResultCache::enabled()
 {
-    const char *env = std::getenv("FS_NO_SERVE_CACHE");
-    return env == nullptr || *env == '\0' || *env == '0';
+    return !util::envFlag("FS_NO_SERVE_CACHE");
 }
 
 std::string
@@ -37,9 +38,11 @@ ResultCache::lookup(std::uint64_t key, MsgKind &kind,
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
-        kind = it->second.kind;
-        payload = it->second.payload;
+        unlink(*it);
+        pushNewest(*it);
+        const Entry &e = it->second;
+        kind = e.kind;
+        payload.assign(e.payload.get(), e.payload.get() + e.size);
         ++stats_.hits;
         return true;
     }
@@ -65,25 +68,45 @@ ResultCache::insert(std::uint64_t key, MsgKind kind,
 }
 
 void
+ResultCache::unlink(Slot &slot)
+{
+    Entry &e = slot.second;
+    (e.newer ? e.newer->second.older : newest_) = e.older;
+    (e.older ? e.older->second.newer : oldest_) = e.newer;
+    e.newer = e.older = nullptr;
+}
+
+void
+ResultCache::pushNewest(Slot &slot)
+{
+    Entry &e = slot.second;
+    e.older = newest_;
+    (newest_ ? newest_->second.newer : oldest_) = &slot;
+    newest_ = &slot;
+}
+
+void
 ResultCache::insertLocked(std::uint64_t key, MsgKind kind,
                           const std::vector<std::uint8_t> &payload)
 {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        bytes_used_ -= it->second.payload.size();
-        lru_.erase(it->second.lru);
-        entries_.erase(it);
+    auto [it, fresh] = entries_.try_emplace(key);
+    Entry &e = it->second;
+    if (!fresh) {
+        bytes_used_ -= e.size;
+        unlink(*it);
     }
-    lru_.push_front(key);
-    Entry entry{kind, payload, lru_.begin()};
-    bytes_used_ += payload.size();
-    entries_.emplace(key, std::move(entry));
-    while (bytes_used_ > max_bytes_ && lru_.size() > 1) {
-        const std::uint64_t victim = lru_.back();
-        auto vit = entries_.find(victim);
-        bytes_used_ -= vit->second.payload.size();
-        entries_.erase(vit);
-        lru_.pop_back();
+    e.payload = std::make_unique_for_overwrite<std::uint8_t[]>(
+        payload.size());
+    std::copy(payload.begin(), payload.end(), e.payload.get());
+    e.size = payload.size();
+    e.kind = kind;
+    pushNewest(*it);
+    bytes_used_ += e.size;
+    while (bytes_used_ > max_bytes_ && entries_.size() > 1) {
+        const std::uint64_t victim = oldest_->first;
+        bytes_used_ -= oldest_->second.size;
+        unlink(*oldest_);
+        entries_.erase(victim);
         ++stats_.evictions;
     }
 }

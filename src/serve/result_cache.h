@@ -30,10 +30,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/wire.h"
@@ -86,12 +87,27 @@ class ResultCache
     std::string spillPath(std::uint64_t key) const;
 
   private:
+    struct Entry;
+    /** A map element; its address is stable, so the LRU list links
+     *  elements directly. */
+    using Slot = std::pair<const std::uint64_t, Entry>;
+
+    /**
+     * One cached response: a fleet caches every distinct result on
+     * two workers, and a typical payload is tens of bytes, so an
+     * entry is one map node plus one payload array -- no separate
+     * list node and no vector capacity.
+     */
     struct Entry {
-        MsgKind kind;
-        std::vector<std::uint8_t> payload;
-        std::list<std::uint64_t>::iterator lru;
+        std::unique_ptr<std::uint8_t[]> payload;
+        std::size_t size = 0;
+        MsgKind kind = MsgKind::kErrorReply;
+        Slot *newer = nullptr; ///< toward the most recently used
+        Slot *older = nullptr; ///< toward the eviction end
     };
 
+    void unlink(Slot &slot);
+    void pushNewest(Slot &slot);
     void insertLocked(std::uint64_t key, MsgKind kind,
                       const std::vector<std::uint8_t> &payload);
     bool readSpill(std::uint64_t key, MsgKind &kind,
@@ -104,8 +120,9 @@ class ResultCache
     std::string spill_dir_;
     bool spill_dir_ready_ = false;
     std::size_t bytes_used_ = 0;
-    std::list<std::uint64_t> lru_; ///< front = most recent
     std::unordered_map<std::uint64_t, Entry> entries_;
+    Slot *newest_ = nullptr; ///< LRU list ends
+    Slot *oldest_ = nullptr;
     Stats stats_;
 };
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -90,7 +91,7 @@ bool
 envFlag(const char *name)
 {
     const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0';
+    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
 void

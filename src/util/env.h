@@ -31,7 +31,11 @@ std::uint64_t envU64(const char *name, std::uint64_t def,
 /** envU64 for floating-point knobs; NaN/inf count as garbage. */
 double envDouble(const char *name, double def, double lo, double hi);
 
-/** True when `name` is set to a non-empty value (kill-switch style). */
+/**
+ * Kill-switch style flag: true when `name` is set to anything but the
+ * empty string or "0". Every FS_NO_* switch is read through this, so
+ * `FS_NO_X=0` and `FS_NO_X=` mean the same as leaving it unset.
+ */
 bool envFlag(const char *name);
 
 /** Testing hook: forget which variables have already warned. */

@@ -3,7 +3,8 @@
  * DBT-tier mechanics: translation-cache bookkeeping (insert, lookup,
  * byte-budget eviction, chain link/unlink hygiene), superblock
  * chaining on a live hart, eviction under a tiny cache budget with
- * results still bit-identical to the interpreter, and the
+ * results still bit-identical to the interpreter, every kind of block
+ * exit charging the interpreter's cycle and retirement counts, and the
  * FS_NO_TRACE_CACHE / FS_DBT_CACHE_BYTES environment knobs. Tier
  * *equivalence* (interp vs. DBT over random programs, full SoC
  * scenarios, torture campaigns, self-modifying code) lives in
@@ -14,12 +15,14 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "riscv/assembler.h"
 #include "riscv/dbt.h"
 #include "riscv/hart.h"
 #include "riscv/memory.h"
+#include "soc/bus.h"
 
 namespace fs {
 namespace {
@@ -198,6 +201,23 @@ TEST(DbtCache, EnvKillSwitchDisablesTier)
     EXPECT_EQ(on.reg(riscv::kA0), 3u);
 }
 
+TEST(DbtCache, EnvKillSwitchZeroLeavesFastPathOn)
+{
+    riscv::Ram ram(256);
+    ram.loadWords(0, {riscv::addi(riscv::kA0, riscv::kA0, 1),
+                      riscv::addi(riscv::kA0, riscv::kA0, 2),
+                      riscv::ebreak()});
+    for (const char *value : {"0", ""}) {
+        setenv("FS_NO_TRACE_CACHE", value, 1);
+        riscv::Hart hart(ram);
+        unsetenv("FS_NO_TRACE_CACHE");
+        EXPECT_TRUE(hart.traceCacheEnabled()) << "value '" << value << "'";
+        hart.reset(0);
+        EXPECT_EQ(hart.runDecoded(100), 2u) << "value '" << value << "'";
+        EXPECT_EQ(hart.dbtCache().stats().translations, 1u);
+    }
+}
+
 TEST(DbtCache, EnvBudget)
 {
     setenv("FS_DBT_CACHE_BYTES", "65536", 1);
@@ -354,6 +374,210 @@ TEST(DbtHart, BlocksAndChainsStayStrictlyUnderTheBudget)
     EXPECT_EQ(hart.pc(), ebreak_pc);
     EXPECT_EQ(hart.dbtCache().stats().chainTransfers, transfers + 1);
     EXPECT_FALSE(hart.halted());
+}
+
+// ---------------------------------------------------------------------
+// Per-exit accounting
+// ---------------------------------------------------------------------
+
+constexpr std::uint32_t kProbeBase = 0x1000;
+
+/**
+ * MMIO registers with no direct window: every access leaves the fast
+ * path. Reads return the hart's committed cycle count; every access is
+ * logged as (cycles, value), so a tier that commits cycles late or
+ * early at an MMIO access shows up in the log.
+ */
+class CycleProbe : public riscv::MemoryDevice
+{
+  public:
+    std::uint32_t
+    read(std::uint32_t, unsigned) override
+    {
+        log.emplace_back(hart->cycles(), 0u);
+        return std::uint32_t(hart->cycles());
+    }
+
+    void
+    write(std::uint32_t, std::uint32_t value, unsigned) override
+    {
+        log.emplace_back(hart->cycles(), value);
+    }
+
+    std::uint32_t size() const override { return 64; }
+
+    const riscv::Hart *hart = nullptr;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> log;
+};
+
+/** A hart over 4 KiB of RAM at 0 and a CycleProbe at kProbeBase. */
+struct ExitRig {
+    ExitRig(const std::vector<riscv::Word> &code, bool dbt)
+    {
+        bus.attach("ram", 0, ram);
+        bus.attach("probe", kProbeBase, probe);
+        ram.loadWords(0, code);
+        probe.hart = &hart;
+        hart.setTraceCacheEnabled(dbt);
+        hart.reset(0);
+        hart.setReg(riscv::kT5, 1000);
+        hart.setReg(riscv::kT6, 7);
+    }
+
+    riscv::Ram ram{4096};
+    CycleProbe probe;
+    soc::Bus bus;
+    riscv::Hart hart{bus};
+};
+
+/**
+ * A loop whose blocks leave through every kind of exit, each with a
+ * mul and a div (3 and 32 cycles) ahead of it so that a dropped or
+ * doubled `before` charge moves the counters: a taken branch
+ * mid-block, a 64-op block's kFallthrough, a jal, a jalr, a store
+ * into translated code, an MMIO store, and the loop's backedge.
+ * A mid-block MMIO load sits between them.
+ */
+std::vector<riscv::Word>
+everyExitProgram()
+{
+    using namespace riscv;
+    Assembler as(0);
+    as.li(kS1, std::int32_t(kProbeBase));
+    as.li(kT0, 0);
+    as.li(kT1, 3); // iterations
+    const auto loop = as.newLabel();
+    as.bind(loop);
+
+    // Taken branch mid-block: the superblock runs on past it.
+    const auto past_dead = as.newLabel();
+    as.emit(mul(kA1, kT5, kT6));
+    as.emit(div(kA2, kT5, kT6));
+    as.beqTo(kZero, kZero, past_dead);
+    as.emit(addi(kA3, kA3, 1)); // never runs
+    as.bind(past_dead);
+
+    // 64 ops and no control transfer: the block ends in kFallthrough.
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    for (int i = 0; i < 62; ++i)
+        as.emit(addi(kA3, kA3, 1));
+
+    // Mid-block MMIO load, then a jal.
+    const auto after_jal = as.newLabel();
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.emit(lw(kA4, kS1, 4));
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.jTo(after_jal);
+    as.bind(after_jal);
+
+    // jalr to two ops ahead of the auipc that anchors it.
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.emit(auipc(kT2, 0));
+    as.emit(jalr(kZero, kT2, 12));
+    as.emit(addi(kA3, kA3, 100)); // skipped
+
+    // Store into translated code: the auipc rewrites itself with its
+    // own bytes, which flushes the cache and bails out of the block.
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.emit(auipc(kT3, 0));
+    as.emit(lw(kT4, kT3, 0));
+    as.emit(sw(kT4, kT3, 0));
+
+    // MMIO store: a slow event, so the block bails out after it.
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.emit(sw(kA2, kS1, 0));
+
+    // Backedge: a taken branch that chains to the loop head.
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.emit(addi(kT0, kT0, 1));
+    as.bltTo(kT0, kT1, loop);
+    as.emit(ebreak());
+    return as.finalize();
+}
+
+TEST(DbtHart, EveryExitChargesTheInterpretersCounters)
+{
+    const auto code = everyExitProgram();
+    // Chunks from one cycle up put the budget at every offset of
+    // every block, so each exit also meets the entry and chain guards.
+    for (const std::uint64_t chunk :
+         {1u, 2u, 3u, 5u, 7u, 11u, 13u, 17u, 31u, 37u, 64u, 97u, 1u << 20}) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        ExitRig interp(code, false);
+        ExitRig dbt(code, true);
+        for (int runs = 0; !interp.hart.halted(); ++runs) {
+            ASSERT_LT(runs, 100'000);
+            interp.hart.run(chunk);
+            dbt.hart.run(chunk);
+            ASSERT_EQ(interp.hart.cycles(), dbt.hart.cycles());
+            ASSERT_EQ(interp.hart.instructionsRetired(),
+                      dbt.hart.instructionsRetired());
+            ASSERT_EQ(interp.hart.pc(), dbt.hart.pc());
+        }
+        EXPECT_TRUE(dbt.hart.halted());
+        for (unsigned r = 0; r < 32; ++r)
+            EXPECT_EQ(interp.hart.reg(r), dbt.hart.reg(r)) << "x" << r;
+        EXPECT_EQ(interp.probe.log, dbt.probe.log);
+        EXPECT_EQ(dbt.probe.log.size(), 6u) << "3 MMIO loads, 3 stores";
+        const riscv::DbtStats &st = dbt.hart.dbtCache().stats();
+        EXPECT_GE(st.flushes, 3u) << "the self-modifying store";
+        EXPECT_GT(st.translations, 0u);
+    }
+
+    // The chain guard, pinned: block A (mul, div, a taken beq back to
+    // B) chains into block B. Some budget must let A run and stop at
+    // B's entry -- B is translated and linked, so only the guard stops
+    // there -- and every budget must leave the interpreter's counters.
+    using namespace riscv;
+    Assembler as(0);
+    const auto a = as.newLabel();
+    const auto b = as.newLabel();
+    as.jTo(a);
+    as.bind(b);
+    const std::uint32_t b_pc = as.here();
+    as.emit(mul(kA1, kA1, kT6));
+    as.emit(div(kA2, kA1, kT6));
+    as.emit(div(kA2, kA2, kT6));
+    as.emit(ebreak());
+    as.bind(a);
+    as.emit(mul(kA1, kT5, kT6));
+    as.emit(div(kA2, kT5, kT6));
+    as.beqTo(kZero, kZero, b);
+    const auto chain_code = as.finalize();
+    ExitRig interp(chain_code, false);
+    ExitRig dbt(chain_code, true);
+    const Hart::ArchState start = dbt.hart.saveArch();
+    // The first pass translates A and B, the second links A -> B.
+    for (int pass = 0; pass < 2; ++pass) {
+        dbt.hart.restoreArch(start);
+        dbt.hart.run(1u << 20);
+        ASSERT_TRUE(dbt.hart.halted());
+    }
+    ASSERT_GE(dbt.hart.dbtCache().stats().chainLinks, 1u);
+    bool guard_stop = false;
+    for (std::uint64_t budget = 1; budget < 120; ++budget) {
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        dbt.hart.restoreArch(start);
+        const std::uint64_t spent = dbt.hart.runDecoded(budget);
+        ASSERT_LT(spent, budget);
+        interp.hart.restoreArch(start);
+        while (interp.hart.instructionsRetired() <
+               dbt.hart.instructionsRetired())
+            interp.hart.step();
+        EXPECT_EQ(interp.hart.pc(), dbt.hart.pc());
+        EXPECT_EQ(interp.hart.cycles(), dbt.hart.cycles());
+        EXPECT_EQ(interp.hart.instructionsRetired(),
+                  dbt.hart.instructionsRetired());
+        guard_stop |= spent > 0 && dbt.hart.pc() == b_pc;
+    }
+    EXPECT_TRUE(guard_stop) << "no budget stopped A at the chain guard";
 }
 
 } // namespace

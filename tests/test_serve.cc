@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -764,6 +766,53 @@ TEST(ResultCache, EvictsLeastRecentlyUsedByBytes)
     EXPECT_EQ(payload, payloadOfSize(100, 3));
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_LE(cache.bytesUsed(), 250u);
+}
+
+TEST(ResultCache, LruOrderMatchesAReferenceList)
+{
+    // Random inserts (some replacing a live key at a new size) and
+    // lookups against a std::list model of the LRU order and the byte
+    // budget: every hit, miss, payload and eviction must agree.
+    constexpr std::size_t kBudget = 1000;
+    ResultCache cache(kBudget);
+    std::list<std::pair<std::uint64_t, std::size_t>> model; // newest first
+    std::size_t model_bytes = 0;
+    Rng rng(7);
+    MsgKind kind;
+    std::vector<std::uint8_t> payload;
+    for (int step = 0; step < 5000; ++step) {
+        const auto key = std::uint64_t(rng.uniformInt(0, 40));
+        auto it = std::find_if(model.begin(), model.end(),
+                               [key](const auto &e) {
+                                   return e.first == key;
+                               });
+        if (rng.bernoulli(0.5)) {
+            const auto size = std::size_t(rng.uniformInt(0, 300));
+            cache.insert(key, MsgKind::kErrorReply,
+                         payloadOfSize(size, std::uint8_t(key)));
+            if (it != model.end()) {
+                model_bytes -= it->second;
+                model.erase(it);
+            }
+            model.emplace_front(key, size);
+            model_bytes += size;
+            while (model_bytes > kBudget && model.size() > 1) {
+                model_bytes -= model.back().second;
+                model.pop_back();
+            }
+        } else {
+            const bool hit = cache.lookup(key, kind, payload);
+            ASSERT_EQ(hit, it != model.end()) << "step " << step;
+            if (hit) {
+                EXPECT_EQ(payload,
+                          payloadOfSize(it->second, std::uint8_t(key)));
+                model.splice(model.begin(), model, it);
+            }
+        }
+        ASSERT_EQ(cache.entryCount(), model.size()) << "step " << step;
+        ASSERT_EQ(cache.bytesUsed(), model_bytes) << "step " << step;
+    }
+    EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(ResultCache, SpillDirectorySurvivesRestartAndRejectsCorruption)

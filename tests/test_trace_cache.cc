@@ -7,8 +7,9 @@
  * thread count. Covers full-SoC guest workloads (steady power and a
  * forced checkpoint/power-failure/resume), a seeded decoder<->executor
  * differential fuzzer over random legal RV32IM programs run both ways
- * (including choppy and tight event-horizon budgets), and
- * self-modifying code (a store into translated code must flush).
+ * (including choppy and tight event-horizon budgets, and on some seeds
+ * a cycle-stamping MMIO device that loads and stores hit mid-block),
+ * and self-modifying code (a store into translated code must flush).
  * DBT-cache-specific mechanics (chaining, eviction, unlink, the
  * environment knobs) live in test_dbt.cc.
  */
@@ -27,6 +28,7 @@
 #include "riscv/decoder.h"
 #include "riscv/hart.h"
 #include "riscv/memory.h"
+#include "soc/bus.h"
 #include "soc/guest_programs.h"
 #include "soc/soc.h"
 #include "util/parallel.h"
@@ -258,11 +260,61 @@ TEST(FastPathTorture, CampaignBitIdenticalAcrossTiersAndThreads)
 constexpr std::uint32_t kDataBase = 0x8000;
 constexpr std::uint32_t kDataSize = 4096;
 constexpr std::uint32_t kRamSize = 64 * 1024;
+/** The MMIO device, when mapped, sits right after the RAM. */
+constexpr std::uint32_t kMmioBase = kRamSize;
+constexpr std::uint32_t kMmioSize = 64;
 
-/** Any register but x8 (s0), which anchors the data region. */
-riscv::Word
-randomRd(Rng &rng)
+/**
+ * Cycle-stamping MMIO registers. They have no direct window, so every
+ * access leaves the fast path mid-block. Loads return a value derived
+ * from the hart's committed cycle count; every access is logged with
+ * that count. A tier that commits cycles late or early at an MMIO
+ * access changes both the loaded values and the log.
+ */
+class CycleStampDevice : public riscv::MemoryDevice
 {
+  public:
+    struct Access {
+        bool store = false;
+        std::uint32_t addr = 0;
+        std::uint32_t value = 0;
+        std::uint64_t cycles = 0;
+
+        bool operator==(const Access &) const = default;
+    };
+
+    std::uint32_t
+    read(std::uint32_t addr, unsigned bytes) override
+    {
+        const std::uint64_t c = hart->cycles();
+        std::uint32_t v = std::uint32_t(c * 0x9E3779B1ull) ^ (addr << 24);
+        if (bytes < 4)
+            v &= (1u << (8 * bytes)) - 1;
+        log.push_back({false, addr, v, c});
+        return v;
+    }
+
+    void
+    write(std::uint32_t addr, std::uint32_t value, unsigned) override
+    {
+        log.push_back({true, addr, value, hart->cycles()});
+    }
+
+    std::uint32_t size() const override { return kMmioSize; }
+
+    const riscv::Hart *hart = nullptr;
+    std::vector<Access> log;
+};
+
+/** Any register but x8 (s0), which anchors the data region, and, when
+ *  @p mmio, x9 (s1), which anchors the MMIO device. */
+riscv::Word
+randomRd(Rng &rng, bool mmio)
+{
+    if (mmio) {
+        const auto r = riscv::Word(rng.uniformInt(0, 29));
+        return r >= 8 ? r + 2 : r;
+    }
     const auto r = riscv::Word(rng.uniformInt(0, 30));
     return r >= 8 ? r + 1 : r;
 }
@@ -272,10 +324,11 @@ randomRd(Rng &rng)
  * confined to [kDataBase, kDataBase+kDataSize), forward-only branches
  * and jumps (so the program always terminates), CSR traffic on
  * mscratch plus mcycle/minstret probes (the sharpest cycle-exactness
- * oracle), fence, and fs.mark. Ends in ebreak.
+ * oracle), fence, and fs.mark. Ends in ebreak. With @p mmio, a quarter
+ * of the loads and stores target the MMIO device through s1 instead.
  */
 std::vector<riscv::Word>
-randomProgram(Rng &rng, std::size_t body_ops)
+randomProgram(Rng &rng, std::size_t body_ops, bool mmio)
 {
     using namespace riscv;
     using RType = Word (*)(Word, Word, Word);
@@ -292,8 +345,10 @@ randomProgram(Rng &rng, std::size_t body_ops)
 
     Assembler as(0);
     as.li(kS0, std::int32_t(kDataBase));
+    if (mmio)
+        as.li(kS1, std::int32_t(kMmioBase));
     for (Word r = 1; r < 32; ++r) {
-        if (r == kS0)
+        if (r == kS0 || (mmio && r == kS1))
             continue;
         as.li(r, std::int32_t(std::uint32_t(
                      rng.uniformInt(0, 0xFFFFFFFFll))));
@@ -317,15 +372,15 @@ randomProgram(Rng &rng, std::size_t body_ops)
         const auto roll = rng.uniformInt(0, 99);
         if (roll < 30) {
             as.emit(kRType[rng.index(std::size(kRType))](
-                randomRd(rng), Word(rng.uniformInt(0, 31)),
+                randomRd(rng, mmio), Word(rng.uniformInt(0, 31)),
                 Word(rng.uniformInt(0, 31))));
         } else if (roll < 42) {
             as.emit(kIType[rng.index(std::size(kIType))](
-                randomRd(rng), Word(rng.uniformInt(0, 31)),
+                randomRd(rng, mmio), Word(rng.uniformInt(0, 31)),
                 std::int32_t(rng.uniformInt(-2048, 2047))));
         } else if (roll < 48) {
             const auto shamt = Word(rng.uniformInt(0, 31));
-            const auto rd = randomRd(rng);
+            const auto rd = randomRd(rng, mmio);
             const auto rs1 = Word(rng.uniformInt(0, 31));
             switch (rng.uniformInt(0, 2)) {
             case 0: as.emit(slli(rd, rs1, shamt)); break;
@@ -336,23 +391,28 @@ randomProgram(Rng &rng, std::size_t body_ops)
             const auto imm20 =
                 std::int32_t(rng.uniformInt(0, 0xFFFFF));
             if (rng.bernoulli(0.5))
-                as.emit(lui(randomRd(rng), imm20));
+                as.emit(lui(randomRd(rng, mmio), imm20));
             else
-                as.emit(auipc(randomRd(rng), imm20));
+                as.emit(auipc(randomRd(rng, mmio), imm20));
         } else if (roll < 66) {
             const auto which = rng.index(std::size(kLoad));
             const unsigned align = kLoadAlign[which];
-            // imm12 caps the reachable window at [0, 2047].
+            const bool from_mmio = mmio && rng.bernoulli(0.25);
+            // imm12 caps the reachable data window at [0, 2047].
             const auto off = std::int32_t(
-                align * rng.uniformInt(0, 2044 / align));
-            as.emit(kLoad[which](randomRd(rng), kS0, off));
+                align * rng.uniformInt(
+                            0, (from_mmio ? kMmioSize - 4 : 2044) / align));
+            as.emit(kLoad[which](randomRd(rng, mmio),
+                                 from_mmio ? kS1 : kS0, off));
         } else if (roll < 76) {
             const auto which = rng.index(std::size(kStore));
             const unsigned align = kStoreAlign[which];
+            const bool to_mmio = mmio && rng.bernoulli(0.25);
             const auto off = std::int32_t(
-                align * rng.uniformInt(0, 2044 / align));
-            as.emit(kStore[which](Word(rng.uniformInt(0, 31)), kS0,
-                                  off));
+                align * rng.uniformInt(
+                            0, (to_mmio ? kMmioSize - 4 : 2044) / align));
+            as.emit(kStore[which](Word(rng.uniformInt(0, 31)),
+                                  to_mmio ? kS1 : kS0, off));
         } else if (roll < 84) {
             const auto target = as.newLabel();
             pending.push_back(
@@ -381,7 +441,7 @@ randomProgram(Rng &rng, std::size_t body_ops)
             as.emit(addi(kT2, kT2, 1));
             as.emit(addi(kT3, kT3, 1));
         } else if (roll < 95) {
-            const auto rd = randomRd(rng);
+            const auto rd = randomRd(rng, mmio);
             switch (rng.uniformInt(0, 3)) {
             case 0:
                 as.emit(csrrw(rd, kCsrMscratch,
@@ -404,7 +464,7 @@ randomProgram(Rng &rng, std::size_t body_ops)
             // Cycle/instret probes: the strongest oracle that the
             // block path commits counters on the interpreter's exact
             // schedule.
-            as.emit(csrrs(randomRd(rng),
+            as.emit(csrrs(randomRd(rng, mmio),
                           rng.bernoulli(0.5) ? kCsrMcycle
                                              : kCsrMinstret,
                           kZero));
@@ -428,23 +488,31 @@ struct FuzzResult {
     std::uint64_t instret = 0;
     std::uint32_t mscratch = 0;
     std::vector<std::uint8_t> mem;
+    std::vector<CycleStampDevice::Access> mmio;
     /** Tier bookkeeping (not part of the identity comparison). */
     std::uint64_t translations = 0;
 };
 
 /** Execute a fuzz image to ebreak, in chunks of @p chunk cycles (odd
  *  small chunks stress the budget guards and the hand-off to the
- *  interpreter). */
+ *  interpreter). With @p mmio, the hart sees the RAM and the
+ *  cycle-stamping device through a bus. */
 FuzzResult
 runFuzzProgram(const std::vector<riscv::Word> &code,
                const std::vector<std::uint8_t> &data, Mode mode,
-               std::uint64_t chunk)
+               std::uint64_t chunk, bool mmio)
 {
     riscv::Ram ram(kRamSize);
     ram.loadWords(0, code);
     std::copy(data.begin(), data.end(),
               ram.data().begin() + kDataBase);
-    riscv::Hart hart(ram);
+    CycleStampDevice stamp;
+    soc::Bus bus;
+    bus.attach("ram", 0, ram);
+    bus.attach("stamp", kMmioBase, stamp);
+    riscv::Hart hart(mmio ? static_cast<riscv::MemoryDevice &>(bus)
+                          : ram);
+    stamp.hart = &hart;
     configureHart(hart, mode);
     hart.reset(0);
     while (!hart.halted() && hart.cycles() < 2'000'000)
@@ -458,6 +526,7 @@ runFuzzProgram(const std::vector<riscv::Word> &code,
     res.instret = hart.instructionsRetired();
     res.mscratch = hart.csr(riscv::kCsrMscratch);
     res.mem = ram.data();
+    res.mmio = stamp.log;
     res.translations = hart.dbtCache().stats().translations;
     return res;
 }
@@ -475,38 +544,50 @@ expectSameFuzzResult(const FuzzResult &a, const FuzzResult &b,
     EXPECT_EQ(a.instret, b.instret) << label;
     EXPECT_EQ(a.mscratch, b.mscratch) << label;
     EXPECT_EQ(a.mem, b.mem) << label << " memory image";
+    EXPECT_EQ(a.mmio.size(), b.mmio.size()) << label << " MMIO accesses";
+    EXPECT_TRUE(a.mmio == b.mmio) << label << " MMIO access log";
 }
 
 TEST(FastPathFuzz, RandomProgramsBitIdenticalTwoWay)
 {
     std::uint64_t total_translations = 0;
-    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    std::size_t mmio_loads = 0;
+    std::size_t mmio_stores = 0;
+    // Seeds past 16 map the cycle-stamping device next to the RAM, so
+    // the DBT's mid-block MMIO commit is fuzzed as well.
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const bool mmio = seed > 16;
         Rng rng(seed * 0x9E3779B97F4A7C15ull);
-        const auto code = randomProgram(rng, 300);
+        const auto code = randomProgram(rng, 300, mmio);
         std::vector<std::uint8_t> data(kDataSize);
         for (auto &byte : data)
             byte = std::uint8_t(rng.uniformInt(0, 255));
         const std::string label = "seed " + std::to_string(seed);
         const FuzzResult interp =
-            runFuzzProgram(code, data, Mode::kInterp, 1u << 20);
+            runFuzzProgram(code, data, Mode::kInterp, 1u << 20, mmio);
         const FuzzResult fast =
-            runFuzzProgram(code, data, Mode::kDbt, 1u << 20);
+            runFuzzProgram(code, data, Mode::kDbt, 1u << 20, mmio);
         expectSameFuzzResult(interp, fast, label + " dbt");
         total_translations += fast.translations;
+        for (const auto &access : fast.mmio)
+            ++(access.store ? mmio_stores : mmio_loads);
         // Choppy and tight budgets force entry/chain budget-guard
         // bailouts and hand the ops before each horizon to the
         // interpreter, then re-enter translated code mid-block.
         for (const std::uint64_t chunk : {13u, 5u, 2u}) {
             const FuzzResult choppy =
-                runFuzzProgram(code, data, Mode::kDbt, chunk);
+                runFuzzProgram(code, data, Mode::kDbt, chunk, mmio);
             expectSameFuzzResult(interp, choppy,
                                  label + " dbt chunk=" +
                                      std::to_string(chunk));
         }
     }
     // The DBT runs must actually have exercised threaded code (the
-    // CSR probes make some blocks strict, but never all of them).
+    // CSR probes make some blocks strict, but never all of them), and
+    // the MMIO seeds must have reached the device both ways.
     EXPECT_GT(total_translations, 0u);
+    EXPECT_GT(mmio_loads, 0u);
+    EXPECT_GT(mmio_stores, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -558,6 +558,22 @@ TEST(EnvKnobs, OutOfRangeFallsBackToDefault)
     }
 }
 
+TEST(EnvKnobs, FlagTreatsEmptyAndZeroAsUnset)
+{
+    // Kill switches: empty and "0" mean the same as unset, so
+    // FS_NO_X=0 never turns a feature off.
+    for (const char *value : {"", "0"}) {
+        EnvVar v("FS_TEST_KNOB", value);
+        EXPECT_FALSE(util::envFlag("FS_TEST_KNOB"))
+            << "value '" << value << "'";
+    }
+    for (const char *value : {"1", "yes", "00", "0x0", " 0", "true"}) {
+        EnvVar v("FS_TEST_KNOB", value);
+        EXPECT_TRUE(util::envFlag("FS_TEST_KNOB"))
+            << "value '" << value << "'";
+    }
+}
+
 TEST(EnvKnobs, WarnsOnceThenStaysQuiet)
 {
     util::resetEnvWarnings();
