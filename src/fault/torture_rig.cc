@@ -71,12 +71,6 @@ readWord(const std::vector<std::uint8_t> &fram, std::uint32_t off)
            std::uint32_t(fram[off + 3]) << 24;
 }
 
-bool
-snapshotsDisabledByEnv()
-{
-    return util::envFlag("FS_NO_SNAPSHOT");
-}
-
 /**
  * The low-power monitor every torture SoC samples, enrolled once per
  * process: Soc takes it by const& and only calls its const queries,
@@ -120,25 +114,50 @@ resolvedSnapshotStride(const TortureConfig &config)
 struct TortureBench {
     std::shared_ptr<double> volts = std::make_shared<double>(0.0);
     std::unique_ptr<soc::Soc> soc;
+    /** Pooled benches: FRAM equals *base outside the pages in dirty
+     *  (base is null until the first image is loaded). */
+    const soc::PagedImage *base = nullptr;
+    soc::DirtyPages dirty;
+
+    /** Make FRAM equal @p image, copying only pages that differ. */
+    void
+    moveTo(const soc::PagedImage &image)
+    {
+        std::vector<std::uint8_t> &mem = soc->fram().data();
+        if (!base) {
+            image.restore(mem);
+        } else {
+            const auto &pages = image.pages();
+            const auto &held = base->pages();
+            for (std::size_t p = 0; p < pages.size(); ++p)
+                if (dirty.contains(p) || held[p] != pages[p])
+                    std::memcpy(mem.data() + p * soc::PagedImage::kPageBytes,
+                                pages[p]->data(), pages[p]->size());
+        }
+        dirty.clear();
+        base = &image;
+    }
+
+    /** Store @p byte straight into FRAM, past the write filter. */
+    void
+    put(std::uint32_t addr, std::uint8_t byte)
+    {
+        soc->fram().data()[addr] = byte;
+        dirty.mark(addr / soc::PagedImage::kPageBytes);
+    }
 };
 
 namespace {
-
-soc::CheckpointLayout
-layoutOf(const GoldenRun &g)
-{
-    soc::CheckpointLayout layout;
-    layout.sramSize = g.config.sramSize;
-    return layout;
-}
 
 std::unique_ptr<TortureBench>
 makeBench(const GoldenRun &g)
 {
     auto bench = std::make_unique<TortureBench>();
+    soc::CheckpointLayout layout;
+    layout.sramSize = g.config.sramSize;
     bench->soc = std::make_unique<soc::Soc>(
         sharedMonitor(), [v = bench->volts](double) { return *v; },
-        layoutOf(g));
+        layout);
     bench->soc->loadRuntime(g.threshold);
     bench->soc->loadGuest(g.prog);
     return bench;
@@ -213,8 +232,8 @@ static_assert(sizeof(GoldenRun::ProbeStep) == 16, "ProbeStep grew");
  * one step at a time (run() is documented bit-identical to the step
  * loop), so probeSteps[i] is precisely the i-th instruction every kill
  * run executes before its kill fires, writeLog holds every FRAM store
- * those instructions make, and every snapshot lands on an instruction
- * boundary the kill runs also cross.
+ * those instructions make, and every FRAM image is captured on an
+ * instruction boundary the kill runs also cross.
  */
 void
 goldenPass(GoldenRun &g)
@@ -239,6 +258,7 @@ goldenPass(GoldenRun &g)
                   targets.end());
     g.snapshots.reserve(targets.size());
     std::size_t next_target = 0;
+    const std::vector<std::uint8_t> &fram = std::as_const(sys).fram().data();
 
     const auto maybe_capture = [&] {
         if (next_target >= targets.size() ||
@@ -248,16 +268,16 @@ goldenPass(GoldenRun &g)
                targets[next_target] <= sys.totalCycles())
             ++next_target;
         GoldenRun::Snapshot snap;
-        snap.state = sys.saveSnapshot(
-            g.snapshots.empty() ? nullptr : &g.snapshots.back().state);
+        snap.fram.capture(fram, g.snapshots.empty()
+                                    ? nullptr
+                                    : &g.snapshots.back().fram);
         snap.writes = std::uint32_t(g.writeLog.size());
         g.snapshots.push_back(std::move(snap));
     };
 
-    // Log every store the way Nvm::write sees it. A plain run installs
-    // no filter of its own (no injector, never restored), so this one
-    // stays in place for the whole pass; it never tears.
-    const std::vector<std::uint8_t> &fram = std::as_const(sys).fram().data();
+    // Log every store the way Nvm::write sees it. A run without an
+    // injector installs no filter of its own, so this one stays in
+    // place for the whole pass; it never tears.
     sys.fram().setWriteFilter([&](std::uint32_t addr, std::uint32_t value,
                                   unsigned bytes, unsigned &,
                                   std::uint32_t &) {
@@ -369,7 +389,21 @@ TortureRig::acquireBench()
             return bench;
         }
     }
-    return makeBench(*golden_);
+    auto bench = makeBench(*golden_);
+    TortureBench *b = bench.get();
+    constexpr std::size_t kPage = soc::PagedImage::kPageBytes;
+    b->dirty.reset((b->soc->fram().size() + kPage - 1) / kPage);
+    // Pooled benches never get an injector, so this filter sees every
+    // store a recovery makes and keeps `dirty` exact; it never tears.
+    b->soc->fram().setWriteFilter([b](std::uint32_t addr, std::uint32_t,
+                                      unsigned bytes, unsigned &,
+                                      std::uint32_t &) {
+        const std::size_t last = (std::size_t(addr) + bytes - 1) / kPage;
+        for (std::size_t p = addr / kPage; p <= last; ++p)
+            b->dirty.mark(p);
+        return false;
+    });
+    return bench;
 }
 
 void
@@ -389,8 +423,7 @@ TortureRig::commitWindow(std::size_t which) const
 bool
 TortureRig::snapshotsActive() const
 {
-    return !snapshotsDisabledByEnv() &&
-           resolvedSnapshotStride(golden_->config) > 0;
+    return !util::envFlag("FS_NO_SNAPSHOT");
 }
 
 TortureOutcome
@@ -475,93 +508,36 @@ struct TortureRig::DeathImage {
 };
 
 /**
- * A reusable FRAM buffer that rebuilds death images by delta: it
- * equals the golden image `base` outside the pages in `dirty`.
+ * Rebuild @p death in @p bench's FRAM: the nearest golden image at or
+ * before its store count, the logged stores since, then the tear.
+ * Returns the golden image it started from.
  */
-struct TortureRig::ImageBuffer {
-    std::vector<std::uint8_t> mem;
-    const soc::PagedImage *base = nullptr;
-    soc::DirtyPages dirty;
-
-    /** Make mem equal @p image, copying only pages that differ. */
-    void
-    moveTo(const soc::PagedImage &image)
-    {
-        const auto &pages = image.pages();
-        if (!base) {
-            mem.resize(image.size());
-            image.restore(mem);
-            dirty.reset(pages.size());
-        } else {
-            const auto &held = base->pages();
-            for (std::size_t p = 0; p < pages.size(); ++p)
-                if (dirty.contains(p) || held[p] != pages[p])
-                    std::memcpy(mem.data() + p * soc::PagedImage::kPageBytes,
-                                pages[p]->data(), pages[p]->size());
-            dirty.clear();
-        }
-        base = &image;
-    }
-
-    void
-    put(std::uint32_t addr, std::uint8_t byte)
-    {
-        mem[addr] = byte;
-        dirty.mark(addr / soc::PagedImage::kPageBytes);
-    }
-
-    /**
-     * Rebuild @p death: the nearest golden image at or before its
-     * store count, the logged stores since, then the tear. Returns the
-     * golden snapshot it started from.
-     */
-    const GoldenRun::Snapshot &
-    materialise(const GoldenRun &g, const DeathImage &death)
-    {
-        const auto it = std::upper_bound(
-            g.snapshots.begin(), g.snapshots.end(), death.writes,
-            [](std::uint32_t w, const GoldenRun::Snapshot &s) {
-                return w < s.writes;
-            });
-        // The boot snapshot holds zero stores, so `it` is past it.
-        const GoldenRun::Snapshot &from = *(it - 1);
-        moveTo(from.state.fram);
-        for (std::uint32_t j = from.writes; j < death.writes; ++j) {
-            const GoldenRun::FramWrite &w = g.writeLog[j];
-            for (unsigned i = 0; i < w.width; ++i)
-                put(w.addr + i, w.post[i]);
-        }
-        if (death.torn()) {
-            // Nvm::tearLastWrite: the kept prefix lands, the rest
-            // reverts to its old bytes XORed with the flip lanes.
-            const GoldenRun::FramWrite &w = g.writeLog[death.writes - 1];
-            for (unsigned i = death.tearKept; i < w.width; ++i)
-                put(w.addr + i, std::uint8_t(w.pre[i] ^
-                                             (death.tearFlip >> (8 * i))));
-        }
-        return from;
-    }
-};
-
-std::unique_ptr<TortureRig::ImageBuffer>
-TortureRig::acquireBuffer()
+const GoldenRun::Snapshot &
+TortureRig::materialise(TortureBench &bench, const DeathImage &death) const
 {
-    {
-        std::lock_guard<std::mutex> lock(pool_mu_);
-        if (!buffer_pool_.empty()) {
-            auto buffer = std::move(buffer_pool_.back());
-            buffer_pool_.pop_back();
-            return buffer;
-        }
+    const GoldenRun &g = *golden_;
+    const auto it = std::upper_bound(
+        g.snapshots.begin(), g.snapshots.end(), death.writes,
+        [](std::uint32_t w, const GoldenRun::Snapshot &s) {
+            return w < s.writes;
+        });
+    // The boot image holds zero stores, so `it` is past it.
+    const GoldenRun::Snapshot &from = *(it - 1);
+    bench.moveTo(from.fram);
+    for (std::uint32_t j = from.writes; j < death.writes; ++j) {
+        const GoldenRun::FramWrite &w = g.writeLog[j];
+        for (unsigned i = 0; i < w.width; ++i)
+            bench.put(w.addr + i, w.post[i]);
     }
-    return std::make_unique<ImageBuffer>();
-}
-
-void
-TortureRig::releaseBuffer(std::unique_ptr<ImageBuffer> buffer)
-{
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    buffer_pool_.push_back(std::move(buffer));
+    if (death.torn()) {
+        // Nvm::tearLastWrite: the kept prefix lands, the rest reverts
+        // to its old bytes XORed with the flip lanes.
+        const GoldenRun::FramWrite &w = g.writeLog[death.writes - 1];
+        for (unsigned i = death.tearKept; i < w.width; ++i)
+            bench.put(w.addr + i,
+                      std::uint8_t(w.pre[i] ^ (death.tearFlip >> (8 * i))));
+    }
+    return from;
 }
 
 TortureRig::DeathImage
@@ -660,35 +636,34 @@ TortureOutcome
 TortureRig::gradeImage(const DeathImage &death)
 {
     const GoldenRun &g = *golden_;
-    auto buffer = acquireBuffer();
-    const GoldenRun::Snapshot &from = buffer->materialise(g, death);
-    const std::vector<std::uint8_t> &fram = buffer->mem;
-    const soc::PagedImage &base = from.state.fram;
+    auto bench = acquireBench();
+    soc::Soc &sys = *bench->soc;
+    const soc::PagedImage &base = materialise(*bench, death).fram;
+    const std::vector<std::uint8_t> &fram = std::as_const(sys).fram().data();
 
     TortureOutcome out;
     out.killed = death.killed;
     out.killTore = death.torn();
-    inspectSlots(fram, layoutOf(g), out);
+    inspectSlots(fram, sys.layout(), out);
     if (!death.killed) {
         // The fault-free run: its final FRAM holds the answer.
         out.finished = true;
-        out.result = readWord(fram, g.prog.resultAddr - layoutOf(g).framBase);
+        out.result = readWord(fram, g.prog.resultAddr - sys.layout().framBase);
         out.resultCorrect = out.result == g.prog.expected;
-        releaseBuffer(std::move(buffer));
+        releaseBench(std::move(bench));
         return out;
     }
     out.coldRestart = out.validSlots == 0;
 
-    // Power loss wiped all volatile state and recovery runs on stable
-    // power, so the recovery verdict is a pure function of the FRAM
-    // image -- and of the app-finished flag, which only the last
-    // golden step sets, so that one image is never memoized. The
-    // byte-exact check makes a key collision degrade to a miss, never
-    // a wrong verdict.
+    // The recovery verdict is a pure function of the FRAM image and
+    // the app-finished flag (the recovery contract, see the header).
+    // Only the last golden step sets that flag, so that one image is
+    // never memoized. The byte-exact check makes a key collision
+    // degrade to a miss, never a wrong verdict.
     const bool memoize = converge_on_ && !death.finished;
     std::uint64_t key = 0;
     if (memoize) {
-        key = soc::PagedImage::keyOf(fram, base, buffer->dirty);
+        key = soc::PagedImage::keyOf(fram, base, bench->dirty);
         const RecoveryMemo *cached = nullptr;
         {
             std::lock_guard<std::mutex> lock(memo_mu_);
@@ -698,9 +673,9 @@ TortureRig::gradeImage(const DeathImage &death)
         }
         // Entries are immutable and never erased, and map nodes do not
         // move, so the check can run outside the lock.
-        if (cached && cached->image.matches(fram, base, buffer->dirty)) {
+        if (cached && cached->image.matches(fram, base, bench->dirty)) {
             memo_hits_.fetch_add(1, std::memory_order_relaxed);
-            releaseBuffer(std::move(buffer));
+            releaseBench(std::move(bench));
             out.finished = cached->finished;
             out.result = cached->result;
             out.resultCorrect =
@@ -710,9 +685,20 @@ TortureRig::gradeImage(const DeathImage &death)
     }
 
     RecoveryMemo memo;
-    memo.image.captureDirty(fram, base, buffer->dirty);
-    releaseBuffer(std::move(buffer));
-    recover(from, death.finished, memo);
+    if (memoize)
+        memo.image.captureDirty(fram, base, bench->dirty);
+    // Recover on this bench: power dies with the image in FRAM, then
+    // comes back on stable power. The flag clear keeps a previous
+    // recovery's finish from leaking into this one.
+    sys.clearAppFinished();
+    sys.powerFail();
+    *bench->volts = g.config.stableVolts;
+    sys.powerOn();
+    sys.run(g.config.recoveryCycles);
+    memo.finished = death.finished || sys.appFinished();
+    memo.result = memo.finished ? sys.guestResult(g.prog) : 0;
+    releaseBench(std::move(bench));
+
     out.finished = memo.finished;
     out.result = memo.result;
     out.resultCorrect = out.finished && out.result == g.prog.expected;
@@ -723,28 +709,6 @@ TortureRig::gradeImage(const DeathImage &death)
         memo_.emplace(key, std::move(memo));
     }
     return out;
-}
-
-void
-TortureRig::recover(const GoldenRun::Snapshot &from, bool finished,
-                    RecoveryMemo &memo)
-{
-    const GoldenRun &g = *golden_;
-    auto bench = acquireBench();
-    soc::Soc &sys = *bench->soc;
-    // The golden state the image was rebuilt from, with the death
-    // image in FRAM: a delta restore, since both share most pages.
-    soc::Snapshot death = from.state;
-    death.fram = memo.image;
-    death.appFinished = finished;
-    sys.restoreSnapshot(death);
-    sys.powerFail();
-    *bench->volts = g.config.stableVolts;
-    sys.powerOn();
-    sys.run(g.config.recoveryCycles);
-    memo.finished = sys.appFinished();
-    memo.result = memo.finished ? sys.guestResult(g.prog) : 0;
-    releaseBench(std::move(bench));
 }
 
 std::vector<std::uint32_t>
@@ -775,11 +739,9 @@ std::size_t
 TortureRig::snapshotMemoryBytes() const
 {
     std::vector<const soc::PagedImage *> images;
-    images.reserve(golden_->snapshots.size() * 2 + 16);
-    for (const GoldenRun::Snapshot &g : golden_->snapshots) {
-        images.push_back(&g.state.fram);
-        images.push_back(&g.state.sram);
-    }
+    images.reserve(golden_->snapshots.size() + 16);
+    for (const GoldenRun::Snapshot &g : golden_->snapshots)
+        images.push_back(&g.fram);
     std::lock_guard<std::mutex> lock(memo_mu_);
     for (const auto &entry : memo_)
         images.push_back(&entry.second.image);

@@ -16,48 +16,56 @@
  * Campaigns (runKills) grade from the golden run instead of replaying
  * anything before the kill. Until its kill fires, a kill run *is* the
  * fault-free run, and the kill only tears the killing instruction's
- * last FRAM store (Soc::step). Power loss wipes all volatile state and
- * recovery runs on stable power, so a kill's whole outcome is a pure
- * function of its death image: the golden FRAM after the killing
- * step, with that step's last store torn by (tearBytesKept,
- * tearFlipMask) when the step wrote FRAM. The golden pass logs every
- * FRAM store (GoldenRun::writeLog), so each kill maps to an exact
- * death-image id -- the count of golden stores that landed, plus the
- * torn byte lanes for a kill that tears. Kills are grouped by id and
- * each distinct id is graded once: its image is rebuilt from the
+ * last FRAM store (Soc::step). The golden pass logs every FRAM store
+ * (GoldenRun::writeLog), so each kill maps to an exact death-image id
+ * -- the count of golden stores that landed, plus the torn byte lanes
+ * for a kill that tears. Kills are grouped by id and each distinct id
+ * is graded once: its image is rebuilt in a pooled SoC's FRAM from the
  * nearest golden FRAM image plus the logged stores plus the tear, its
  * slots are inspected, and its recovery verdict comes from a memo
  * keyed by the image's content (a byte-exact comparison guards every
  * hit, so key collisions cannot leak a wrong verdict). Only a memo
- * miss loads the image into a SoC and runs the recovery. Verdicts are
- * bit-identical to replay-from-boot at any thread count.
- * FS_NO_SNAPSHOT=1 forces the from-boot replay; it is read on every
- * runKills() call. FS_SNAPSHOT_STRIDE overrides the golden capture
- * stride; it is read when a golden run is built, and 0 also selects
- * the from-boot replay.
+ * miss runs the recovery, on that same SoC. Verdicts are bit-identical
+ * to replay-from-boot at any thread count. FS_NO_SNAPSHOT=1 forces the
+ * from-boot replay; it is read on every runKills() call.
+ * FS_SNAPSHOT_STRIDE overrides the golden capture stride; it is read
+ * when a golden run is built, and 0 keeps only the boot and
+ * commit-window images.
+ *
+ * Recovery contract: a kill's verdict depends only on the FRAM it dies
+ * with and on whether the app had finished. powerFail() and powerOn()
+ * clear the hart's registers and CSRs, SRAM and the FS peripheral, and
+ * recovery runs on a constant supply, so every monitor sample latches
+ * the same count whenever it is taken. A recycled SoC does carry its
+ * mcycle/minstret and the SoC counters over from its last recovery,
+ * but neither the checkpoint runtime nor any serve buildWorkload guest
+ * reads mcycle or minstret, so they cannot be observed. The
+ * app-finished flag is sticky across powerOn(): a recovery clears it
+ * first and ORs the death's own flag back in. The death image is
+ * written straight into FRAM, behind the DBT's back; that is safe
+ * because powerOn()'s Hart::reset flushes every translation.
  *
  * Cost model. Everything that depends only on (program, config) lives
  * in a GoldenRun: the instrumented pass that finds the commit windows
  * and the single-stepped golden pass that records the probe steps and
- * the FRAM write log and captures the golden snapshots. It is built
+ * the FRAM write log and captures the golden FRAM images. It is built
  * once and shared by every rig of a campaign (serve::Engine keeps the
  * latest one for exhaustive point-range shards). A campaign then costs
  * one binary search over the probe steps per kill, plus per distinct
  * death image: O(FRAM pages) pointer compares and O(dirty pages)
  * copies to rebuild it, a few logged stores, slot forensics, and a
  * memo probe that touches only the dirty pages -- and, on a miss, one
- * recovery run from power-on on a recycled SoC. No ISS instruction
- * before a kill runs again. A TortureRig owns only per-campaign state:
- * the recovery memo, the SoC and image pools, and the convergence
- * flag. The voltage monitor every SoC samples is enrolled once per
- * process and shared by all rigs.
+ * recovery run from power-on. No ISS instruction before a kill runs
+ * again. A TortureRig owns only per-campaign state: the recovery memo,
+ * the SoC pool, and the convergence flag. The voltage monitor every
+ * SoC samples is enrolled once per process and shared by all rigs.
  *
  * Concurrency contract. A GoldenRun is immutable once built; any
  * number of threads and rigs may read it at once. runKill() and the
  * golden-run accessors are const and safe from any thread.
  * runKills()/runKillsPruned() may be called from several threads at
  * once, on one rig or on rigs sharing a golden run: the memo and the
- * pools are locked. setConvergenceEnabled() must not race them.
+ * pool are locked. setConvergenceEnabled() must not race them.
  */
 
 #ifndef FS_FAULT_TORTURE_RIG_H_
@@ -92,8 +100,9 @@ struct TortureConfig {
     std::uint64_t lowCycles = 200'000;    ///< brown-out phase budget
     std::size_t maxPowerCycles = 64;
     std::uint64_t recoveryCycles = 60'000'000; ///< post-kill budget
-    /** Golden-snapshot capture stride in cycles (0 = no snapshot
-     *  forking); FS_SNAPSHOT_STRIDE overrides it at runtime. */
+    /** Golden FRAM-image capture stride in cycles (0 = boot and
+     *  commit-window images only); FS_SNAPSHOT_STRIDE overrides it at
+     *  runtime. */
     std::uint64_t snapshotStride = 4096;
 };
 
@@ -119,7 +128,7 @@ struct PruneStats {
 
 /** Accounting for the golden-run / convergence machinery. */
 struct ConvergeStats {
-    std::size_t goldenSnapshots = 0; ///< snapshots along the golden run
+    std::size_t goldenSnapshots = 0; ///< golden FRAM images
     std::size_t memoEntries = 0;     ///< distinct death images recovered
     /** Graded death images served from the memo. Deterministic
      *  verdicts, but the count itself can undershoot under concurrency
@@ -178,18 +187,18 @@ struct GoldenRun {
     };
 
     /**
-     * A golden-run snapshot plus the count of writeLog entries that
-     * had landed when it was captured: its FRAM is the boot image
-     * with exactly those stores applied.
+     * A golden FRAM image plus the count of writeLog entries that had
+     * landed when it was captured: the boot image with exactly those
+     * stores applied.
      */
     struct Snapshot {
-        soc::Snapshot state;
+        soc::PagedImage fram;
         std::uint32_t writes = 0;
     };
 
     /**
-     * Run the instrumented pass and the golden pass. The snapshots are
-     * captured at boot, at every commit-window boundary and at the
+     * Run the instrumented pass and the golden pass. The FRAM images
+     * are captured at boot, at every commit-window boundary and at the
      * stride resolved now (FS_SNAPSHOT_STRIDE, else
      * config.snapshotStride; 0 = no stride captures), which the run
      * keeps in its config. Returns null and sets @p error when the
@@ -207,7 +216,7 @@ struct GoldenRun {
     std::vector<CommitWindow> windows;
     std::vector<ProbeStep> probeSteps;
     std::vector<FramWrite> writeLog; ///< every FRAM store, in order
-    std::vector<Snapshot> snapshots; ///< sorted by totalCycles
+    std::vector<Snapshot> snapshots; ///< in capture (= writes) order
 
     /**
      * Index of the probe step a kill at @p kill_cycle fires at the end
@@ -227,7 +236,7 @@ struct GoldenRun {
 /** The snapshot stride a GoldenRun built now would use. */
 std::uint64_t resolvedSnapshotStride(const TortureConfig &config);
 
-struct TortureBench; ///< one disposable SoC + its supply cell
+struct TortureBench; ///< one SoC + its supply cell
 
 class TortureRig
 {
@@ -265,10 +274,9 @@ class TortureRig
      * returning outcomes in input order. By default kills are grouped
      * by death image and each distinct image is graded once from the
      * golden write log (see the file comment); with FS_NO_SNAPSHOT=1
-     * (or stride 0) every kill replays from boot. Either way the
-     * outcomes are bit-identical to calling runKill() sequentially,
-     * at any thread count. @p stats, when given, receives the
-     * grouping's accounting.
+     * every kill replays from boot. Either way the outcomes are
+     * bit-identical to calling runKill() sequentially, at any thread
+     * count. @p stats, when given, receives the grouping's accounting.
      */
     std::vector<TortureOutcome>
     runKills(const std::vector<PowerKill> &kills,
@@ -300,15 +308,14 @@ class TortureRig
     void setConvergenceEnabled(bool on) { converge_on_ = on; }
 
     /** True when runKills() will grade from the golden run:
-     *  FS_NO_SNAPSHOT is unset and the stride resolved now is
-     *  non-zero. */
+     *  FS_NO_SNAPSHOT is unset. */
     bool snapshotsActive() const;
 
     /** Snapshot-fork accounting (see ConvergeStats). */
     ConvergeStats convergeStats() const;
 
     /**
-     * Bytes pinned by golden snapshots plus memoized death images,
+     * Bytes pinned by golden FRAM images plus memoized death images,
      * counting pages shared copy-on-write once: the campaign's
      * snapshot memory high-water mark (both sets only grow).
      */
@@ -333,16 +340,13 @@ class TortureRig
     };
 
     struct DeathImage;
-    struct ImageBuffer;
 
     std::unique_ptr<TortureBench> acquireBench();
     void releaseBench(std::unique_ptr<TortureBench> bench);
-    std::unique_ptr<ImageBuffer> acquireBuffer();
-    void releaseBuffer(std::unique_ptr<ImageBuffer> buffer);
     DeathImage deathImageOf(const PowerKill &kill) const;
+    const GoldenRun::Snapshot &materialise(TortureBench &bench,
+                                           const DeathImage &death) const;
     TortureOutcome gradeImage(const DeathImage &death);
-    void recover(const GoldenRun::Snapshot &from, bool finished,
-                 RecoveryMemo &memo);
 
     std::shared_ptr<const GoldenRun> golden_;
 
@@ -351,13 +355,12 @@ class TortureRig
     std::unordered_map<std::uint64_t, RecoveryMemo> memo_;
     std::atomic<std::size_t> memo_hits_{0};
 
-    /** Recycled SoCs: restoreSnapshot leaves every byte of state equal
-     *  to the snapshot, so a reused bench is indistinguishable from a
-     *  fresh one -- and its restores are deltas. Recycled image
-     *  buffers likewise rebuild a death image by delta. */
+    /** Recycled SoCs. Each one's FRAM is the buffer its death images
+     *  are rebuilt in, by delta from the image it last held; under the
+     *  recovery contract (file comment) a recovery on a reused SoC
+     *  gives the verdict a fresh one would. */
     std::mutex pool_mu_;
     std::vector<std::unique_ptr<TortureBench>> bench_pool_;
-    std::vector<std::unique_ptr<ImageBuffer>> buffer_pool_;
 };
 
 } // namespace fault

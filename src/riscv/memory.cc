@@ -74,7 +74,6 @@ Ram::loadWords(std::uint32_t offset, const std::vector<std::uint32_t> &words)
 {
     FS_ASSERT(std::uint64_t(offset) + words.size() * 4 <= data_.size(),
               "program image exceeds RAM");
-    ++raw_epoch_;
     for (std::size_t i = 0; i < words.size(); ++i) {
         for (unsigned b = 0; b < 4; ++b) {
             data_[offset + 4 * i + b] =

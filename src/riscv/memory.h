@@ -81,41 +81,20 @@ class Ram : public MemoryDevice
     /** Power failure: volatile contents decay to zero. */
     void powerFail();
 
-    /**
-     * Raw contents for test inspection / program loading. The mutable
-     * overload counts as a direct mutation (see rawEpoch()); read
-     * through a const reference to avoid that.
-     */
-    std::vector<std::uint8_t> &
-    data()
-    {
-        ++raw_epoch_;
-        return data_;
-    }
+    /** Raw contents for test inspection / program loading. */
+    std::vector<std::uint8_t> &data() { return data_; }
     const std::vector<std::uint8_t> &data() const { return data_; }
 
     /** Copy a program image (little-endian words) at an offset. */
     void loadWords(std::uint32_t offset,
                    const std::vector<std::uint32_t> &words);
 
-    /**
-     * Bumped by every mutable data() call and every loadWords(): the
-     * ways contents can change without a write(). Snapshot delta
-     * restore compares it to fall back to a full copy after them.
-     */
-    std::uint64_t rawEpoch() const { return raw_epoch_; }
-
     std::uint64_t writeCount() const { return writes_; }
-
-    /** Snapshot support: wind the write counter back to a captured
-     *  value (contents are restored separately via data()). */
-    void restoreWriteCount(std::uint64_t writes) { writes_ = writes; }
 
   private:
     std::vector<std::uint8_t> data_;
     bool non_volatile_;
     std::uint64_t writes_ = 0;
-    std::uint64_t raw_epoch_ = 0;
 };
 
 } // namespace riscv

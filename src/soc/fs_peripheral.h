@@ -93,48 +93,6 @@ class FsPeripheral : public riscv::MemoryDevice,
     /** Volatile peripheral state decays on power failure. */
     void powerFail();
 
-    /**
-     * Complete latch/register state for SoC snapshots. The voltage
-     * source and injector hooks are wiring, not state: a restored
-     * peripheral keeps whatever hooks its host SoC attached.
-     */
-    struct State {
-        double time = 0.0;
-        double nextSample = 0.0;
-        std::uint32_t count = 0;
-        std::uint32_t threshold = 0;
-        std::uint32_t ctrl = 0;
-        bool irqPending = false;
-        bool freshCount = false;
-        std::uint64_t samples = 0;
-    };
-
-    State
-    saveState() const
-    {
-        return State{time_,        next_sample_, count_,
-                     threshold_,   ctrl_,        irq_pending_,
-                     fresh_count_, samples_};
-    }
-
-    /**
-     * Restore a captured state. The MEIP line lives in the hart's CSR
-     * file, which snapshots capture at the same instant, so it is
-     * deliberately not re-driven here.
-     */
-    void
-    restoreState(const State &s)
-    {
-        time_ = s.time;
-        next_sample_ = s.nextSample;
-        count_ = s.count;
-        threshold_ = s.threshold;
-        ctrl_ = s.ctrl;
-        irq_pending_ = s.irqPending;
-        fresh_count_ = s.freshCount;
-        samples_ = s.samples;
-    }
-
     // --- riscv::MemoryDevice ---
     std::uint32_t read(std::uint32_t addr, unsigned bytes) override;
     void write(std::uint32_t addr, std::uint32_t value,

@@ -58,19 +58,6 @@ class Nvm : public riscv::Ram
     std::uint64_t bytesWritten() const { return bytes_written_; }
     void resetStats() { bytes_written_ = 0; }
 
-    /**
-     * Snapshot support: restore both write counters and clear the
-     * tearable-write record (a restored run re-records it on its
-     * first post-restore store, exactly like a fresh boot).
-     */
-    void
-    restoreWriteState(std::uint64_t writes, std::uint64_t bytes)
-    {
-        restoreWriteCount(writes);
-        bytes_written_ = bytes;
-        last_ = LastWrite{};
-    }
-
   private:
     struct LastWrite {
         std::uint32_t addr = 0;

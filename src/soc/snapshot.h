@@ -1,28 +1,22 @@
 /**
  * @file
- * Full-SoC snapshot/restore for snapshot-fork fault grading.
+ * Copy-on-write FRAM images for snapshot-fork fault grading.
  *
- * A Snapshot freezes everything that determines forward execution of
- * the SoC at an instruction boundary: the hart's architectural state
- * (registers, pc, CSR file, mcycle/minstret), both memories, the
- * Failure Sentinels peripheral's latch state, the NVM write counters,
- * and the SoC-level cycle/power-cycle counters. Restoring it into any
- * Soc built from the same images resumes execution bit-identically to
- * the run the snapshot was taken from.
+ * After a power failure only FRAM survives, so a torture campaign's
+ * golden run keeps nothing but FRAM images (PagedImage): at boot, at
+ * every commit-window boundary and at a fixed stride. Each capture
+ * compares its pages against the previous image in the golden
+ * sequence and shares the unchanged ones, so the 10^3-10^4 images a
+ * campaign keeps alive cost roughly one full image plus the
+ * per-capture deltas (a commit window rewrites ~5 pages of a 512-page
+ * FRAM).
  *
- * Memory images are stored as copy-on-write pages (PagedImage): each
- * capture compares its pages against the previous snapshot in the
- * golden sequence and shares the unchanged ones, so the 10^3-10^4
- * snapshots a torture campaign keeps alive cost roughly one full
- * image plus the per-snapshot deltas (a commit window rewrites ~5
- * pages of a 512-page FRAM).
- *
- * Forking is O(dirty pages), not O(image): each page carries its
- * content hash, computed once when the page is created, and an
- * image's key is an order-aware sum of per-page terms. A SoC that
- * restored image B and then dirtied a few pages (DirtyPages) can key,
- * verify and capture its memory against B by touching only those
- * pages -- every page it did not write still equals B's page.
+ * Working with an image is O(dirty pages), not O(image): each page
+ * carries its content hash, computed once when the page is created,
+ * and an image's key is an order-aware sum of per-page terms. A buffer
+ * that holds image B outside a few written pages (DirtyPages) can key,
+ * verify and capture itself against B by touching only those pages --
+ * every page it did not write still equals B's page.
  */
 
 #ifndef FS_SOC_SNAPSHOT_H_
@@ -32,9 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "riscv/hart.h"
-#include "soc/fs_peripheral.h"
 
 namespace fs {
 namespace soc {
@@ -149,21 +140,6 @@ class PagedImage
     std::size_t size_ = 0;
     std::uint64_t key_ = 0;
     std::vector<std::shared_ptr<const Page>> pages_;
-};
-
-/** Everything needed to resume the SoC at an instruction boundary. */
-struct Snapshot {
-    riscv::Hart::ArchState hart;
-    PagedImage fram;
-    PagedImage sram;
-    FsPeripheral::State peripheral;
-    std::uint64_t framWrites = 0;       ///< Nvm write-op counter
-    std::uint64_t framBytesWritten = 0; ///< Nvm byte counter
-    std::uint64_t sramWrites = 0;
-    std::uint64_t totalCycles = 0;
-    std::uint64_t powerCycles = 0;
-    bool appFinished = false;
-    bool faultKilled = false;
 };
 
 /**

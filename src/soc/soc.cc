@@ -1,7 +1,6 @@
 #include "soc/soc.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "fault/fault_injector.h"
@@ -40,30 +39,15 @@ Soc::setFaultInjector(fault::FaultInjector *injector)
 {
     injector_ = injector;
     fs_.setFaultInjector(injector);
-    armFramFilter();
-}
-
-void
-Soc::armFramFilter()
-{
-    // Plain runs (no injector, never restored) install no filter and
-    // pay nothing per store.
-    if (!injector_ && fram_base_.empty()) {
+    // Plain runs install no filter and pay nothing per store.
+    if (!injector) {
         fram_.setWriteFilter(nullptr);
         return;
     }
-    // The filter sees every FRAM store, and a tear only ever rewrites
-    // bytes of the store it follows, so marking here misses nothing.
-    fram_.setWriteFilter([this](std::uint32_t addr, std::uint32_t value,
-                                unsigned bytes, unsigned &kept,
-                                std::uint32_t &flip) {
-        const std::size_t last =
-            (std::size_t(addr) + bytes - 1) / PagedImage::kPageBytes;
-        for (std::size_t p = addr / PagedImage::kPageBytes;
-             p <= last && p < fram_base_.size(); ++p)
-            fram_dirty_.mark(p);
-        return injector_ &&
-               injector_->filterWrite(addr, value, bytes, kept, flip);
+    fram_.setWriteFilter([injector](std::uint32_t addr, std::uint32_t value,
+                                    unsigned bytes, unsigned &kept,
+                                    std::uint32_t &flip) {
+        return injector->filterWrite(addr, value, bytes, kept, flip);
     });
 }
 
@@ -223,75 +207,6 @@ double
 Soc::elapsedSeconds() const
 {
     return double(total_cycles_) / clock_hz_;
-}
-
-Snapshot
-Soc::saveSnapshot(const Snapshot *prev) const
-{
-    Snapshot s;
-    s.hart = hart_.saveArch();
-    s.fram.capture(fram_.data(), prev ? &prev->fram : nullptr);
-    s.sram.capture(sram_.data(), prev ? &prev->sram : nullptr);
-    s.peripheral = fs_.saveState();
-    s.framWrites = fram_.writeCount();
-    s.framBytesWritten = fram_.bytesWritten();
-    s.sramWrites = sram_.writeCount();
-    s.totalCycles = total_cycles_;
-    s.powerCycles = power_cycles_;
-    s.appFinished = app_finished_;
-    s.faultKilled = fault_killed_;
-    return s;
-}
-
-void
-Soc::restoreSnapshot(const Snapshot &snap)
-{
-    hart_.restoreArch(snap.hart);
-    restoreFram(snap.fram);
-    snap.sram.restore(sram_.data());
-    hart_.invalidateCode(layout_.sramBase, layout_.sramSize);
-    fs_.restoreState(snap.peripheral);
-    fram_.restoreWriteState(snap.framWrites, snap.framBytesWritten);
-    sram_.restoreWriteCount(snap.sramWrites);
-    total_cycles_ = snap.totalCycles;
-    power_cycles_ = snap.powerCycles;
-    app_finished_ = snap.appFinished;
-    fault_killed_ = snap.faultKilled;
-}
-
-bool
-Soc::framDirtyTracked() const
-{
-    return !fram_base_.empty() && fram_.rawEpoch() == fram_base_epoch_;
-}
-
-void
-Soc::restoreFram(const PagedImage &image)
-{
-    const auto &pages = image.pages();
-    FS_ASSERT(image.size() == fram_.size(),
-              "snapshot FRAM size mismatch");
-    if (!framDirtyTracked()) {
-        // First restore, or FRAM changed behind the filter's back:
-        // nothing in it is known, so copy every page.
-        fram_base_.assign(pages.size(), nullptr);
-        fram_dirty_.reset(pages.size());
-    }
-    std::uint8_t *mem = fram_.data().data();
-    for (std::size_t p = 0; p < pages.size(); ++p) {
-        const bool moved = fram_base_[p] != pages[p];
-        if (!moved && !fram_dirty_.contains(p))
-            continue; // FRAM still holds exactly this page's bytes
-        const std::uint32_t off = std::uint32_t(p * PagedImage::kPageBytes);
-        std::memcpy(mem + off, pages[p]->data(), pages[p]->size());
-        hart_.invalidateCode(layout_.framBase + off,
-                             unsigned(pages[p]->size()));
-        if (moved)
-            fram_base_[p] = pages[p];
-    }
-    fram_dirty_.clear();
-    fram_base_epoch_ = fram_.rawEpoch();
-    armFramFilter();
 }
 
 } // namespace soc

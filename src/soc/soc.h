@@ -17,7 +17,6 @@
 #include "soc/guest_programs.h"
 #include "soc/fs_peripheral.h"
 #include "soc/nvm.h"
-#include "soc/snapshot.h"
 
 namespace fs {
 namespace fault {
@@ -97,8 +96,14 @@ class Soc
      */
     void run(std::uint64_t max_cycles);
 
-    /** True once the application executed its completion ecall. */
+    /**
+     * True once the application executed its completion ecall. The
+     * flag is sticky: powerFail() and powerOn() keep it.
+     */
     bool appFinished() const { return app_finished_; }
+
+    /** Clear the app-finished flag, for a SoC reused for a new run. */
+    void clearAppFinished() { app_finished_ = false; }
 
     /**
      * True when FRAM holds a committed checkpoint: some slot carries
@@ -116,44 +121,6 @@ class Soc
     std::uint64_t totalCycles() const { return total_cycles_; }
     std::uint64_t powerCycles() const { return power_cycles_; }
 
-    /**
-     * Capture the full SoC state at an instruction boundary. Pass the
-     * previous snapshot of a golden sequence to share unchanged
-     * memory pages copy-on-write style.
-     */
-    Snapshot saveSnapshot(const Snapshot *prev = nullptr) const;
-
-    /**
-     * Restore a captured state into this SoC (same layout required).
-     * Every byte of architectural, memory, peripheral, and counter
-     * state ends up equal to the snapshot, so restoring into a
-     * recycled SoC is indistinguishable from restoring into a fresh
-     * one. Fault-injector attachment is wiring, not state -- attach
-     * the injector for the forked run separately.
-     *
-     * FRAM is restored by delta: a page is copied only if it was
-     * written since the previous restore (framDirtyPages()) or its
-     * page differs by pointer from the one the previous restore left
-     * there. Any direct mutation since then (a mutable data() call,
-     * image loads) forces a full copy instead. SRAM is copied in
-     * full. The hart's translated blocks survive unless a copied range
-     * overlaps their code. The restore base holds its own references
-     * to the pages, so @p snap may be destroyed afterwards.
-     */
-    void restoreSnapshot(const Snapshot &snap);
-
-    /**
-     * FRAM pages (PagedImage::kPageBytes units) written since the last
-     * restoreSnapshot(), recorded by the FRAM write filter that the
-     * restore keeps armed. Until the next restore or direct mutation,
-     * FRAM equals the restored image outside these pages.
-     */
-    const DirtyPages &framDirtyPages() const { return fram_dirty_; }
-
-    /** True when framDirtyPages() is exact: a snapshot was restored
-     *  and FRAM saw no direct mutation since. */
-    bool framDirtyTracked() const;
-
   private:
     /**
      * Cycles the fast path may run from now without crossing the next
@@ -164,11 +131,6 @@ class Soc
      * exact kill/tear/latch timing.
      */
     std::uint64_t eventHorizon() const;
-
-    /** (Re)install the FRAM write filter: it feeds the injector's
-     *  tears and, once a snapshot was restored, the dirty pages. */
-    void armFramFilter();
-    void restoreFram(const PagedImage &image);
 
     CheckpointLayout layout_;
     double clock_hz_;
@@ -184,13 +146,6 @@ class Soc
     bool app_finished_ = false;
     std::uint64_t total_cycles_ = 0;
     std::uint64_t power_cycles_ = 0;
-
-    /** Pages of the image the last restore left in FRAM (empty before
-     *  the first restore), and fram_.rawEpoch() as that restore left
-     *  it. Owning references: the snapshot itself may be gone. */
-    std::vector<std::shared_ptr<const PagedImage::Page>> fram_base_;
-    std::uint64_t fram_base_epoch_ = 0;
-    DirtyPages fram_dirty_;
 };
 
 } // namespace soc

@@ -1208,7 +1208,7 @@ TEST(Engine, RetainedGoldenRunRepliesMatchFreshEngines)
 
     // The path knobs change between shards of one campaign: from-boot
     // replay over the retained golden run, then strides that each
-    // force a rebuild (0 also replays from boot).
+    // force a rebuild (0 keeps only boot and commit-window images).
     for (std::size_t s = 0; s < a.size(); ++s) {
         if (s == 0)
             ::setenv("FS_NO_SNAPSHOT", "1", 1);

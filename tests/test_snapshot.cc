@@ -1,26 +1,24 @@
 /**
  * @file
  * Snapshot-fork fault grading tests: PagedImage copy-on-write
- * semantics, full-SoC snapshot save/restore bit-identity across the
- * interpreter and DBT tiers, snapshot interaction with power
+ * semantics and incremental keys, translated blocks across power
  * failures, forked torture campaigns against the replay-from-boot
  * reference (with and without convergence memoization, at 1 and 8
- * threads), the v2 wire format's exhaustive point-range shards and
- * coverage maps, and shard-merge byte-identity through the engine.
+ * threads, and on one recycled recovery SoC), the v2 wire format's
+ * exhaustive point-range shards and coverage maps, and shard-merge
+ * byte-identity through the engine.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/firmware_linter.h"
-#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/torture_rig.h"
 #include "harvest/intermittent_sim.h"
@@ -31,7 +29,6 @@
 #include "soc/guest_programs.h"
 #include "soc/snapshot.h"
 #include "soc/soc.h"
-#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace fs {
@@ -185,7 +182,7 @@ TEST(PagedImage, IncrementalKeyEqualsRecomputedKey)
 }
 
 // ---------------------------------------------------------------------
-// Full-SoC snapshot save/restore across execution tiers
+// Translated blocks across power failures
 // ---------------------------------------------------------------------
 
 struct SocBench {
@@ -215,210 +212,6 @@ makeBench()
     return b;
 }
 
-/** FRAM contents through a const view (not a direct mutation). */
-const std::vector<std::uint8_t> &
-framBytes(const soc::Soc &sys)
-{
-    return sys.fram().data();
-}
-
-/** Everything a run leaves behind, folded into one hash. */
-std::uint64_t
-fingerprint(soc::Soc &sys)
-{
-    const riscv::Ram &sram = sys.sram();
-    std::uint64_t h = util::fnv1a64(framBytes(sys));
-    h = util::fnv1a64(sram.data(), h);
-    const std::uint64_t cyc = sys.totalCycles();
-    h = util::fnv1a64(&cyc, sizeof cyc, h);
-    const std::uint32_t pc = sys.hart().pc();
-    h = util::fnv1a64(&pc, sizeof pc, h);
-    return h;
-}
-
-struct Tier {
-    const char *name;
-    const char *noTrace; ///< FS_NO_TRACE_CACHE value (null = unset)
-};
-
-constexpr Tier kTiers[] = {
-    {"dbt", nullptr},
-    {"interp", "1"},
-};
-
-TEST(SocSnapshot, RestoreResumesBitIdenticallyOnEveryTier)
-{
-    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
-    for (const Tier &tier : kTiers) {
-        SCOPED_TRACE(tier.name);
-        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
-
-        SocBench original = makeBench();
-        original.soc->loadGuest(prog);
-        original.soc->powerOn();
-        while (original.soc->totalCycles() < 20'000 &&
-               !original.soc->appFinished())
-            original.soc->step();
-        ASSERT_FALSE(original.soc->appFinished());
-
-        const soc::Snapshot snap = original.soc->saveSnapshot();
-        EXPECT_EQ(snap.totalCycles, original.soc->totalCycles());
-
-        original.soc->run(60'000'000);
-        ASSERT_TRUE(original.soc->appFinished());
-        EXPECT_EQ(original.soc->guestResult(prog), prog.expected);
-        const std::uint64_t want = fingerprint(*original.soc);
-
-        // Restore into the same (now finished, thoroughly mutated)
-        // SoC: the resumed run must be indistinguishable.
-        original.soc->restoreSnapshot(snap);
-        EXPECT_EQ(original.soc->totalCycles(), snap.totalCycles);
-        EXPECT_FALSE(original.soc->appFinished());
-        original.soc->run(60'000'000);
-        EXPECT_EQ(fingerprint(*original.soc), want);
-
-        // Restore into a fresh SoC that never saw the guest program:
-        // the snapshot carries the full FRAM image.
-        SocBench fresh = makeBench();
-        fresh.soc->restoreSnapshot(snap);
-        fresh.soc->run(60'000'000);
-        EXPECT_EQ(fingerprint(*fresh.soc), want);
-    }
-}
-
-TEST(SocSnapshot, RestoredSocSurvivesPowerFailLikeTheOriginal)
-{
-    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
-    SocBench a = makeBench();
-    a.soc->loadGuest(prog);
-    a.soc->powerOn();
-    while (a.soc->totalCycles() < 15'000 && !a.soc->appFinished())
-        a.soc->step();
-    const soc::Snapshot snap = a.soc->saveSnapshot();
-
-    // Original: power-fail right here, reboot, recover to the end.
-    a.soc->powerFail();
-    a.soc->powerOn();
-    a.soc->run(60'000'000);
-    ASSERT_TRUE(a.soc->appFinished());
-    const std::uint64_t want = fingerprint(*a.soc);
-
-    // Forked copy: restore, then the identical power-fail sequence.
-    SocBench b = makeBench();
-    b.soc->restoreSnapshot(snap);
-    b.soc->powerFail();
-    b.soc->powerOn();
-    b.soc->run(60'000'000);
-    EXPECT_EQ(fingerprint(*b.soc), want);
-    EXPECT_EQ(b.soc->guestResult(prog), a.soc->guestResult(prog));
-}
-
-/** The bytes @p image holds. */
-std::vector<std::uint8_t>
-imageBytes(const soc::PagedImage &image)
-{
-    std::vector<std::uint8_t> out(image.size());
-    image.restore(out);
-    return out;
-}
-
-/** Snapshots of a fault-free run of @p prog at the given cycles,
- *  chained copy-on-write like a golden pass. */
-std::vector<soc::Snapshot>
-goldenSnapshots(const soc::GuestProgram &prog,
-                std::initializer_list<std::uint64_t> cycles)
-{
-    SocBench b = makeBench();
-    b.soc->loadGuest(prog);
-    b.soc->powerOn();
-    std::vector<soc::Snapshot> snaps;
-    for (const std::uint64_t at : cycles) {
-        while (b.soc->totalCycles() < at && !b.soc->appFinished())
-            b.soc->step();
-        snaps.push_back(b.soc->saveSnapshot(
-            snaps.empty() ? nullptr : &snaps.back()));
-    }
-    return snaps;
-}
-
-TEST(SocSnapshot, DeltaRestoreMatchesFullRestoreAcrossForkChains)
-{
-    // FRAM read-modify-write every iteration: forks dirty real pages.
-    const soc::GuestProgram prog = soc::makeNvmAccumulateProgram(256, 32);
-    for (const Tier &tier : kTiers) {
-        SCOPED_TRACE(tier.name);
-        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
-
-        const std::vector<soc::Snapshot> snaps =
-            goldenSnapshots(prog, {2'000, 9'000, 20'000, 35'000});
-        SocBench delta = makeBench();
-        SocBench full = makeBench();
-        for (std::size_t round = 0; round < 10; ++round) {
-            SCOPED_TRACE("round " + std::to_string(round));
-            const soc::Snapshot &snap = snaps[(round * 3 + 1) % 4];
-            full.soc->fram().data(); // a direct mutation: full copy
-            full.soc->restoreSnapshot(snap);
-            delta.soc->restoreSnapshot(snap);
-            const std::vector<std::uint8_t> want = imageBytes(snap.fram);
-            ASSERT_EQ(framBytes(*full.soc), want);
-            ASSERT_EQ(framBytes(*delta.soc), want);
-            ASSERT_TRUE(delta.soc->framDirtyTracked());
-            EXPECT_TRUE(delta.soc->framDirtyPages().list().empty());
-            EXPECT_EQ(fingerprint(*delta.soc), fingerprint(*full.soc));
-
-            // Stores, a standalone tear and a tearing kill, identically
-            // on both SoCs.
-            fault::FaultPlan plan;
-            plan.tears.push_back(fault::WriteTear{
-                round * 7 + 3, unsigned(round % 4), 0x00FF00FFu});
-            plan.kills.push_back(fault::PowerKill{
-                snap.totalCycles + 4'000 + 911 * round,
-                unsigned((round + 1) % 4), 0xA5A5A5A5u});
-            for (SocBench *b : {&delta, &full}) {
-                fault::FaultInjector injector(plan);
-                b->soc->setFaultInjector(&injector);
-                b->soc->run(30'000);
-                b->soc->setFaultInjector(nullptr);
-                EXPECT_EQ(injector.log().standaloneTears, 1u);
-            }
-            EXPECT_FALSE(delta.soc->framDirtyPages().list().empty());
-            EXPECT_EQ(fingerprint(*delta.soc), fingerprint(*full.soc));
-        }
-
-        // The chain ends by resuming the first fork point to the end.
-        for (SocBench *b : {&delta, &full}) {
-            b->soc->restoreSnapshot(snaps.front());
-            b->soc->run(60'000'000);
-            ASSERT_TRUE(b->soc->appFinished());
-        }
-        EXPECT_EQ(fingerprint(*delta.soc), fingerprint(*full.soc));
-        EXPECT_EQ(delta.soc->guestResult(prog), prog.expected);
-    }
-}
-
-TEST(SocSnapshot, RestoreKeepsTranslationsOfUntouchedCode)
-{
-    EnvGuard trace("FS_NO_TRACE_CACHE", nullptr);
-    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
-    const std::vector<soc::Snapshot> snaps =
-        goldenSnapshots(prog, {15'000});
-    SocBench b = makeBench();
-    b.soc->restoreSnapshot(snaps[0]);
-    b.soc->run(20'000); // translate the hot loop
-    ASSERT_FALSE(b.soc->appFinished());
-    const riscv::DbtCache &dbt = b.soc->hart().dbtCache();
-    const std::uint64_t flushes = dbt.stats().flushes;
-    ASSERT_GT(dbt.blockCount(), 0u);
-
-    // Only data pages changed since the last restore: the blocks stay.
-    b.soc->restoreSnapshot(snaps[0]);
-    EXPECT_GT(dbt.blockCount(), 0u);
-    EXPECT_EQ(dbt.stats().flushes, flushes);
-    b.soc->run(60'000'000);
-    ASSERT_TRUE(b.soc->appFinished());
-    EXPECT_EQ(b.soc->guestResult(prog), prog.expected);
-}
-
 TEST(SocSnapshot, PowerFailKeepsFramBlocksAndDropsSramBlocks)
 {
     EnvGuard trace("FS_NO_TRACE_CACHE", nullptr);
@@ -445,155 +238,6 @@ TEST(SocSnapshot, PowerFailKeepsFramBlocksAndDropsSramBlocks)
     ASSERT_GT(dbt.blockCount(), 0u);
     b.soc->powerFail();
     EXPECT_EQ(dbt.blockCount(), 0u);
-}
-
-/** Iterations of selfPatchingProgram() before its patch lands. */
-constexpr std::int32_t kPatchAt = 2'000;
-
-/**
- * A loop that patches one of its own instructions mid-run: iterations
- * before kPatchAt add 1 to the result, the rest add 7. @p patch_addr
- * receives the patched instruction's address.
- */
-soc::GuestProgram
-selfPatchingProgram(std::uint32_t &patch_addr)
-{
-    constexpr std::int32_t kIters = 3'000;
-    using namespace riscv;
-    soc::GuestProgram prog;
-    prog.name = "self-patch";
-    prog.dataAddr = soc::kGuestDataAddr;
-    prog.resultAddr = soc::kGuestResultAddr;
-    prog.expected = std::uint32_t(kPatchAt + (kIters - kPatchAt) * 7);
-
-    Assembler as(soc::CheckpointLayout{}.appBase);
-    const auto loop = as.newLabel();
-    const auto patch = as.newLabel();
-    const auto done = as.newLabel();
-    as.li(kT0, 0);
-    as.li(kT1, kIters);
-    as.li(kA2, 0);
-    as.li(kT4, std::int32_t(addi(kA2, kA2, 7)));
-    as.li(kT5, kPatchAt);
-    const std::uint32_t anchor = as.here();
-    as.emit(auipc(kT3, 0));
-    as.emit(addi(kT3, kT3, 20)); // t3 = &patch (checked below)
-    as.bind(loop);
-    as.bgeuTo(kT0, kT1, done);
-    as.bneTo(kT0, kT5, patch);
-    as.emit(sw(kT4, kT3, 0));
-    as.bind(patch);
-    as.emit(addi(kA2, kA2, 1));
-    as.emit(addi(kT0, kT0, 1));
-    as.jTo(loop);
-    as.bind(done);
-    as.li(kT0, std::int32_t(prog.resultAddr));
-    as.emit(sw(kA2, kT0, 0));
-    as.emit(jalr(kZero, kRa, 0));
-    prog.code = as.finalize();
-    patch_addr = as.labelAddress(patch);
-    EXPECT_EQ(patch_addr, anchor + 20);
-    return prog;
-}
-
-TEST(SocSnapshot, StoreIntoCachedCodeBetweenRestoresForcesRedecode)
-{
-    std::uint32_t patch_addr = 0;
-    const soc::GuestProgram prog = selfPatchingProgram(patch_addr);
-    for (const Tier &tier : kTiers) {
-        SCOPED_TRACE(tier.name);
-        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
-
-        // Fork point: well into the loop (hot, translated), before the
-        // patch lands.
-        const std::vector<soc::Snapshot> snaps =
-            goldenSnapshots(prog, {10'000});
-        const std::uint32_t off =
-            patch_addr - soc::CheckpointLayout{}.framBase;
-        const std::vector<std::uint8_t> image = imageBytes(snaps[0].fram);
-        ASSERT_EQ(std::uint32_t(image[off]) |
-                      std::uint32_t(image[off + 1]) << 8 |
-                      std::uint32_t(image[off + 2]) << 16 |
-                      std::uint32_t(image[off + 3]) << 24,
-                  riscv::addi(riscv::kA2, riscv::kA2, 1))
-            << "the fork point must precede the patch";
-        ASSERT_GT(snaps[0].hart.regs[riscv::kT0], 100u)
-            << "the fork point must be inside the hot loop";
-        SocBench fresh = makeBench();
-        fresh.soc->restoreSnapshot(snaps[0]);
-        fresh.soc->run(60'000'000);
-        ASSERT_TRUE(fresh.soc->appFinished());
-        ASSERT_EQ(fresh.soc->guestResult(prog), prog.expected);
-        const std::uint64_t want = fingerprint(*fresh.soc);
-
-        // Each round's run patches the code page and caches blocks of
-        // the patched loop; the next delta restore must copy the page
-        // back and drop those blocks.
-        SocBench recycled = makeBench();
-        for (int round = 0; round < 3; ++round) {
-            recycled.soc->restoreSnapshot(snaps[0]);
-            recycled.soc->run(60'000'000);
-            ASSERT_TRUE(recycled.soc->appFinished());
-            EXPECT_EQ(recycled.soc->guestResult(prog), prog.expected)
-                << "round " << round;
-            EXPECT_EQ(fingerprint(*recycled.soc), want)
-                << "round " << round;
-        }
-    }
-}
-
-TEST(SocSnapshot, RestoreAfterDirectDataWriteFallsBackToFullCopy)
-{
-    const soc::GuestProgram prog = soc::makeCrc32Program(1024, 7);
-    const std::vector<soc::Snapshot> snaps =
-        goldenSnapshots(prog, {15'000});
-    SocBench b = makeBench();
-    b.soc->restoreSnapshot(snaps[0]);
-    b.soc->run(5'000);
-    ASSERT_TRUE(b.soc->framDirtyTracked());
-
-    // Bytes no store wrote: the write filter never saw these.
-    const std::uint32_t data = prog.dataAddr - b.soc->layout().framBase;
-    b.soc->fram().data()[data] ^= 0xff;
-    b.soc->fram().data()[data + 700] ^= 0x0f;
-    EXPECT_FALSE(b.soc->framDirtyTracked());
-
-    b.soc->restoreSnapshot(snaps[0]);
-    EXPECT_TRUE(b.soc->framDirtyTracked());
-    EXPECT_EQ(framBytes(*b.soc), imageBytes(snaps[0].fram));
-    b.soc->run(60'000'000);
-    ASSERT_TRUE(b.soc->appFinished());
-    EXPECT_EQ(b.soc->guestResult(prog), prog.expected);
-}
-
-TEST(SocSnapshot, RestoreAfterThePreviousSnapshotWasDestroyed)
-{
-    const soc::GuestProgram prog = soc::makeNvmAccumulateProgram(256, 32);
-    SocBench b = makeBench();
-    std::vector<std::uint8_t> want;
-    std::uint64_t want_print = 0;
-    {
-        // Capture S1 and S2 from their own run, fork S1, then destroy
-        // both: only the SoC's own references keep S1's pages alive.
-        auto snaps = std::make_unique<std::vector<soc::Snapshot>>(
-            goldenSnapshots(prog, {3'000, 20'000}));
-        b.soc->restoreSnapshot((*snaps)[0]);
-        b.soc->run(8'000);
-        snaps.reset();
-    }
-    // Fresh snapshots: new page allocations may reuse freed addresses.
-    const std::vector<soc::Snapshot> again =
-        goldenSnapshots(prog, {3'000, 20'000});
-    want = imageBytes(again[1].fram);
-    SocBench ref = makeBench();
-    ref.soc->restoreSnapshot(again[1]);
-    ref.soc->run(60'000'000);
-    want_print = fingerprint(*ref.soc);
-
-    b.soc->restoreSnapshot(again[1]);
-    EXPECT_EQ(framBytes(*b.soc), want);
-    b.soc->run(60'000'000);
-    EXPECT_EQ(fingerprint(*b.soc), want_print);
 }
 
 // ---------------------------------------------------------------------
@@ -747,10 +391,29 @@ TEST_F(SnapshotFork, RigsSharingOneGoldenRunGradeConcurrently)
               rig().convergeStats().goldenSnapshots);
 }
 
-TEST_F(SnapshotFork, StrideZeroDisablesForking)
+TEST_F(SnapshotFork, StrideZeroStillGradesFromTheWriteLog)
 {
+    // Stride 0 keeps only the boot and commit-window images; kills are
+    // still graded from the write log, with the reference verdicts.
+    const std::size_t dense = rig().convergeStats().goldenSnapshots;
     EnvGuard guard("FS_SNAPSHOT_STRIDE", "0");
-    EXPECT_FALSE(rig().snapshotsActive());
+    fault::TortureRig sparse(rig().golden()->prog, rig().golden()->config);
+    ASSERT_TRUE(sparse.snapshotsActive());
+    EXPECT_EQ(sparse.golden()->config.snapshotStride, 0u);
+    EXPECT_EQ(sparse.convergeStats().goldenSnapshots,
+              1 + 2 * sparse.checkpointCount());
+    EXPECT_LT(sparse.convergeStats().goldenSnapshots, dense);
+
+    const std::vector<fault::PowerKill> batch = kills();
+    const std::vector<fault::TortureOutcome> &ref = reference();
+    util::ThreadPool pool(4);
+    fault::PruneStats stats;
+    const auto graded = sparse.runKills(batch, &pool, &stats);
+    EXPECT_LT(stats.executedKills, batch.size())
+        << "kills sharing a death image should be graded once";
+    ASSERT_EQ(graded.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        expectSameOutcome(ref[i], graded[i], i);
 }
 
 TEST_F(SnapshotFork, EveryWritingStepTearsLikeTheBootReplay)
@@ -852,6 +515,153 @@ TEST_F(SnapshotFork, TornCommitMagicDecidesWhichCheckpointSurvives)
         EXPECT_EQ(out.tornSlots, 0);
         EXPECT_TRUE(out.resultCorrect);
     }
+}
+
+// ---------------------------------------------------------------------
+// Recovery on one recycled SoC
+// ---------------------------------------------------------------------
+
+struct Tier {
+    const char *name;
+    const char *noTrace; ///< FS_NO_TRACE_CACHE value (null = unset)
+};
+
+constexpr Tier kTiers[] = {
+    {"dbt", nullptr},
+    {"interp", "1"},
+};
+
+/** Iterations of selfPatchingProgram() before its patch lands. */
+constexpr std::int32_t kPatchAt = 2'000;
+
+/**
+ * A loop that patches one of its own instructions mid-run: iterations
+ * before kPatchAt add 1 to the result, the rest add 7. @p patch_addr
+ * receives the patched instruction's address.
+ */
+soc::GuestProgram
+selfPatchingProgram(std::uint32_t &patch_addr)
+{
+    constexpr std::int32_t kIters = 3'000;
+    using namespace riscv;
+    soc::GuestProgram prog;
+    prog.name = "self-patch";
+    prog.dataAddr = soc::kGuestDataAddr;
+    prog.resultAddr = soc::kGuestResultAddr;
+    prog.expected = std::uint32_t(kPatchAt + (kIters - kPatchAt) * 7);
+
+    Assembler as(soc::CheckpointLayout{}.appBase);
+    const auto loop = as.newLabel();
+    const auto patch = as.newLabel();
+    const auto done = as.newLabel();
+    as.li(kT0, 0);
+    as.li(kT1, kIters);
+    as.li(kA2, 0);
+    as.li(kT4, std::int32_t(addi(kA2, kA2, 7)));
+    as.li(kT5, kPatchAt);
+    const std::uint32_t anchor = as.here();
+    as.emit(auipc(kT3, 0));
+    as.emit(addi(kT3, kT3, 20)); // t3 = &patch (checked below)
+    as.bind(loop);
+    as.bgeuTo(kT0, kT1, done);
+    as.bneTo(kT0, kT5, patch);
+    as.emit(sw(kT4, kT3, 0));
+    as.bind(patch);
+    as.emit(addi(kA2, kA2, 1));
+    as.emit(addi(kT0, kT0, 1));
+    as.jTo(loop);
+    as.bind(done);
+    as.li(kT0, std::int32_t(prog.resultAddr));
+    as.emit(sw(kA2, kT0, 0));
+    as.emit(jalr(kZero, kRa, 0));
+    prog.code = as.finalize();
+    patch_addr = as.labelAddress(patch);
+    EXPECT_EQ(patch_addr, anchor + 20);
+    return prog;
+}
+
+TEST(RecycledRecovery, StoreIntoCachedCodeBetweenRecoveriesForcesRedecode)
+{
+    std::uint32_t patch_addr = 0;
+    const soc::GuestProgram prog = selfPatchingProgram(patch_addr);
+    const std::uint32_t off = patch_addr - soc::CheckpointLayout{}.framBase;
+    for (const Tier &tier : kTiers) {
+        SCOPED_TRACE(tier.name);
+        EnvGuard trace("FS_NO_TRACE_CACHE", tier.noTrace);
+        fault::TortureRig rig(prog);
+        const fault::GoldenRun &g = *rig.golden();
+        const auto patch = std::find_if(
+            g.writeLog.begin(), g.writeLog.end(),
+            [&](const fault::GoldenRun::FramWrite &w) {
+                return w.addr == off;
+            });
+        ASSERT_NE(patch, g.writeLog.end());
+        const std::uint64_t patch_cycle =
+            g.probeSteps[patch->step].cycleAfter;
+
+        // Kills spread over the run up to the patch. Each recovery
+        // reboots with the unpatched code, runs into the patch, and
+        // leaves the code page patched (and, on the DBT tier, the
+        // patched loop translated) on the one recycled SoC; the next
+        // image rebuild must copy the page back and the reboot must
+        // drop the blocks.
+        std::vector<fault::PowerKill> batch;
+        for (std::uint64_t i = 1; i <= 6; ++i)
+            batch.push_back(fault::PowerKill{patch_cycle * i / 7, 0, 0});
+        rig.setConvergenceEnabled(false);
+        util::ThreadPool one(1);
+        const auto graded = rig.runKills(batch, &one);
+        ASSERT_EQ(graded.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const fault::TortureOutcome ref = rig.runKill(batch[i]);
+            EXPECT_TRUE(ref.killed) << "kill " << i;
+            EXPECT_TRUE(ref.resultCorrect) << "kill " << i;
+            expectSameOutcome(ref, graded[i], i);
+        }
+    }
+}
+
+TEST(RecycledRecovery, FinishedRecoveryDoesNotLeakIntoTheNext)
+{
+    fault::TortureConfig config;
+    config.stableCycles = 60'000;
+    config.lowCycles = 30'000;
+    // Late kills (restoring the last checkpoint) finish within this
+    // budget; early ones (rebooting cold) do not.
+    config.recoveryCycles = 60'000;
+    fault::TortureRig rig(soc::makeCrc32Program(2048, 11), config);
+    ASSERT_GE(rig.checkpointCount(), 2u);
+    const std::uint64_t first = rig.commitWindow(0).begin;
+    const std::uint64_t last =
+        rig.commitWindow(rig.checkpointCount() - 1).end;
+    const std::uint64_t clean = rig.cleanRunCycles();
+
+    // Every finishing kill is followed by non-finishing ones. With
+    // convergence off and one thread, kills recover in input order on
+    // one recycled SoC.
+    std::vector<fault::PowerKill> batch;
+    for (std::uint64_t i = 1; i <= 4; ++i) {
+        batch.push_back(fault::PowerKill{last + (clean - last) * i / 6, 0, 0});
+        batch.push_back(fault::PowerKill{first * i / 6, 0, 0});
+        batch.push_back(fault::PowerKill{first * i / 6 + 97, 0, 0});
+    }
+    std::vector<fault::TortureOutcome> ref;
+    std::size_t finished = 0;
+    for (const fault::PowerKill &kill : batch) {
+        ref.push_back(rig.runKill(kill));
+        ASSERT_TRUE(ref.back().killed);
+        finished += ref.back().finished ? 1 : 0;
+    }
+    ASSERT_EQ(finished, 4u) << "only the late kills may finish";
+    for (std::size_t i = 0; i < batch.size(); i += 3)
+        ASSERT_TRUE(ref[i].finished) << "kill " << i;
+
+    rig.setConvergenceEnabled(false);
+    util::ThreadPool one(1);
+    const auto graded = rig.runKills(batch, &one);
+    ASSERT_EQ(graded.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        expectSameOutcome(ref[i], graded[i], i);
 }
 
 // ---------------------------------------------------------------------
