@@ -46,13 +46,18 @@ quickSeq(soc::Soc &s)
     return best;
 }
 
+using SlotInfos =
+    std::array<soc::CheckpointSlotInfo, soc::kCheckpointSlots>;
+
 /** Slot forensics on the FRAM image power died with. */
-void
+SlotInfos
 inspectSlots(const std::vector<std::uint8_t> &fram,
              const soc::CheckpointLayout &layout, TortureOutcome &out)
 {
+    SlotInfos slots;
     for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
         const auto info = soc::inspectCheckpointSlot(fram, layout, slot);
+        slots[slot] = info;
         if (info.valid()) {
             ++out.validSlots;
             out.newestSeq = std::max(out.newestSeq, info.seq);
@@ -60,7 +65,11 @@ inspectSlots(const std::vector<std::uint8_t> &fram,
             ++out.tornSlots;
         }
     }
+    return slots;
 }
+
+/** Restored-slot value of a recovery tag that cold-starts. */
+constexpr unsigned kColdStart = soc::kCheckpointSlots;
 
 /** Little-endian word at FRAM offset @p off (Ram::read's order). */
 std::uint32_t
@@ -100,15 +109,6 @@ goldenErrorMessage(GoldenError error)
         return "fault-free torture schedule got a wrong answer";
     }
     return "unknown golden-run error";
-}
-
-std::uint64_t
-resolvedSnapshotStride(const TortureConfig &config)
-{
-    // 0 is a valid stride (no stride captures), so garbage must fall
-    // back to the config default, not parse to 0 silently.
-    return util::envU64("FS_SNAPSHOT_STRIDE", config.snapshotStride, 0,
-                        1u << 30);
 }
 
 struct TortureBench {
@@ -242,17 +242,13 @@ goldenPass(GoldenRun &g)
     auto bench = makeBench(g);
     soc::Soc &sys = *bench->soc;
 
-    // Capture targets in total-cycle coordinates: boot, every commit
-    // window boundary, and a fixed stride across the whole run.
+    // Capture targets in total-cycle coordinates: boot and every
+    // commit window boundary.
     std::vector<std::uint64_t> targets{0};
     for (const CommitWindow &w : g.windows) {
         targets.push_back(w.begin);
         targets.push_back(w.end);
     }
-    if (config.snapshotStride > 0)
-        for (std::uint64_t c = config.snapshotStride; c < g.cleanCycles;
-             c += config.snapshotStride)
-            targets.push_back(c);
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()),
                   targets.end());
@@ -339,7 +335,6 @@ GoldenRun::build(soc::GuestProgram prog, TortureConfig config,
 {
     auto g = std::make_shared<GoldenRun>();
     g->prog = std::move(prog);
-    config.snapshotStride = resolvedSnapshotStride(config);
     g->config = config;
 
     // Same threshold recipe as the integration fixtures: enough
@@ -487,7 +482,7 @@ GoldenRun::stepAt(std::uint64_t kill_cycle) const
  * What a kill's outcome depends on: the FRAM it dies with, named by
  * its place in the golden run, and whether the app had finished.
  */
-struct TortureRig::DeathImage {
+struct DeathImage {
     static constexpr std::uint8_t kUntorn = 0xFF;
 
     bool killed = true;  ///< false: the schedule finishes first
@@ -507,43 +502,11 @@ struct TortureRig::DeathImage {
     }
 };
 
-/**
- * Rebuild @p death in @p bench's FRAM: the nearest golden image at or
- * before its store count, the logged stores since, then the tear.
- * Returns the golden image it started from.
- */
-const GoldenRun::Snapshot &
-TortureRig::materialise(TortureBench &bench, const DeathImage &death) const
-{
-    const GoldenRun &g = *golden_;
-    const auto it = std::upper_bound(
-        g.snapshots.begin(), g.snapshots.end(), death.writes,
-        [](std::uint32_t w, const GoldenRun::Snapshot &s) {
-            return w < s.writes;
-        });
-    // The boot image holds zero stores, so `it` is past it.
-    const GoldenRun::Snapshot &from = *(it - 1);
-    bench.moveTo(from.fram);
-    for (std::uint32_t j = from.writes; j < death.writes; ++j) {
-        const GoldenRun::FramWrite &w = g.writeLog[j];
-        for (unsigned i = 0; i < w.width; ++i)
-            bench.put(w.addr + i, w.post[i]);
-    }
-    if (death.torn()) {
-        // Nvm::tearLastWrite: the kept prefix lands, the rest reverts
-        // to its old bytes XORed with the flip lanes.
-        const GoldenRun::FramWrite &w = g.writeLog[death.writes - 1];
-        for (unsigned i = death.tearKept; i < w.width; ++i)
-            bench.put(w.addr + i,
-                      std::uint8_t(w.pre[i] ^ (death.tearFlip >> (8 * i))));
-    }
-    return from;
-}
+namespace {
 
-TortureRig::DeathImage
-TortureRig::deathImageOf(const PowerKill &kill) const
+DeathImage
+deathImageOf(const GoldenRun &g, const PowerKill &kill)
 {
-    const GoldenRun &g = *golden_;
     DeathImage d;
     const std::size_t step = g.stepAt(kill.cycle);
     if (step == g.probeSteps.size()) {
@@ -568,19 +531,161 @@ TortureRig::deathImageOf(const PowerKill &kill) const
     return d;
 }
 
+/** The nearest golden image at or before @p writes stores. */
+const GoldenRun::Snapshot &
+nearestImage(const GoldenRun &g, std::uint32_t writes)
+{
+    const auto it = std::upper_bound(
+        g.snapshots.begin(), g.snapshots.end(), writes,
+        [](std::uint32_t w, const GoldenRun::Snapshot &s) {
+            return w < s.writes;
+        });
+    // The boot image holds zero stores, so `it` is past it.
+    return *(it - 1);
+}
+
+/**
+ * Turn a FRAM holding golden image @p from into @p death's image: the
+ * logged stores since, then the tear, each byte through put(addr, b).
+ */
+template <class Put>
+void
+applyDeath(const GoldenRun &g, const GoldenRun::Snapshot &from,
+           const DeathImage &death, Put &&put)
+{
+    for (std::uint32_t j = from.writes; j < death.writes; ++j) {
+        const GoldenRun::FramWrite &w = g.writeLog[j];
+        for (unsigned i = 0; i < w.width; ++i)
+            put(w.addr + i, w.post[i]);
+    }
+    if (death.torn()) {
+        // Nvm::tearLastWrite: the kept prefix lands, the rest reverts
+        // to its old bytes XORed with the flip lanes.
+        const GoldenRun::FramWrite &w = g.writeLog[death.writes - 1];
+        for (unsigned i = death.tearKept; i < w.width; ++i)
+            put(w.addr + i,
+                std::uint8_t(w.pre[i] ^ (death.tearFlip >> (8 * i))));
+    }
+}
+
+/**
+ * Rebuild @p death in @p bench's FRAM. Returns the golden image it
+ * started from: FRAM equals it outside bench.dirty.
+ */
+const soc::PagedImage &
+materialise(const GoldenRun &g, TortureBench &bench, const DeathImage &death)
+{
+    const GoldenRun::Snapshot &from = nearestImage(g, death.writes);
+    bench.moveTo(from.fram);
+    applyDeath(g, from, death, [&](std::uint32_t addr, std::uint8_t byte) {
+        bench.put(addr, byte);
+    });
+    return from.fram;
+}
+
+/** Tag bits of the restored slot; the slot flags sit above them. */
+constexpr std::uint8_t kRestoredMask = 3;
+constexpr unsigned kSlotFlagShift = 2;
+/** RecoveryMemo::tag of an entry keyed on the whole image. */
+constexpr std::uint8_t kFullImage = 0xFF;
+
+/** RecoveryMask::tag: the restored slot (kColdStart: none) in the low
+ *  bits, then each slot's magic-OK and CRC-OK flags. */
+std::uint8_t
+tagOf(const SlotInfos &slots)
+{
+    // newestValidCheckpointSlot's rule, which the boot path follows.
+    unsigned restored = kColdStart;
+    std::uint32_t best = 0;
+    unsigned flags = 0;
+    for (unsigned s = 0; s < soc::kCheckpointSlots; ++s) {
+        const soc::CheckpointSlotInfo &info = slots[s];
+        if (info.valid() && (restored == kColdStart || info.seq > best)) {
+            restored = s;
+            best = info.seq;
+        }
+        flags |= (info.magicOk ? 1u : 0u) << (2 * s);
+        flags |= (info.crcOk ? 2u : 0u) << (2 * s);
+    }
+    return std::uint8_t(restored | flags << kSlotFlagShift);
+}
+
+/** The FRAM ranges left out of the key of an image tagged @p tag. */
+std::vector<soc::ByteRange>
+maskOf(std::uint8_t tag, const soc::CheckpointLayout &layout)
+{
+    const unsigned restored = tag & kRestoredMask;
+    std::vector<soc::ByteRange> ranges;
+    const auto add = [&](std::uint32_t begin, std::uint32_t end) {
+        ranges.push_back({begin - layout.framBase, end - layout.framBase});
+    };
+    // Ascending: staging block, (CRC table), slot 0, slot 1. A slot's
+    // magic is its last word.
+    add(layout.regStageAddr(), layout.regStageAddr() + soc::kRegBlockBytes);
+    for (unsigned s = 0; s < soc::kCheckpointSlots; ++s) {
+        const bool magic_ok = (tag >> (kSlotFlagShift + 2 * s)) & 1;
+        if (s == restored)
+            continue;
+        if (restored != kColdStart)
+            add(layout.slotAddr(s), layout.slotAddr(s) + layout.slotSize());
+        else if (!magic_ok)
+            add(layout.slotAddr(s), layout.slotMagicAddr(s));
+    }
+    return ranges;
+}
+
+} // namespace
+
+RecoveryMask
+recoveryMaskOf(const std::vector<std::uint8_t> &fram,
+               const soc::CheckpointLayout &layout)
+{
+    SlotInfos slots;
+    for (unsigned s = 0; s < soc::kCheckpointSlots; ++s)
+        slots[s] = soc::inspectCheckpointSlot(fram, layout, s);
+    RecoveryMask mask;
+    mask.tag = tagOf(slots);
+    mask.ranges = maskOf(mask.tag, layout);
+    return mask;
+}
+
+std::uint64_t
+recoveryKeyOf(const RecoveryMask &mask, const std::vector<std::uint8_t> &fram,
+              const soc::PagedImage &base, const soc::DirtyPages &dirty)
+{
+    return util::mixSeed(
+        soc::PagedImage::maskedKeyOf(fram, base, dirty, mask.ranges),
+        mask.tag);
+}
+
+std::vector<std::uint8_t>
+TortureRig::deathFram(const PowerKill &kill) const
+{
+    const GoldenRun &g = *golden_;
+    const DeathImage death = deathImageOf(g, kill);
+    const GoldenRun::Snapshot &from = nearestImage(g, death.writes);
+    std::vector<std::uint8_t> fram(from.fram.size());
+    from.fram.restore(fram);
+    applyDeath(g, from, death, [&](std::uint32_t addr, std::uint8_t byte) {
+        fram[addr] = byte;
+    });
+    return fram;
+}
+
 std::vector<TortureOutcome>
 TortureRig::runKills(const std::vector<PowerKill> &kills,
                      util::ThreadPool *pool, PruneStats *stats)
 {
     util::ThreadPool &p = pool ? *pool : util::ThreadPool::shared();
+    const GoldenRun &g = *golden_;
     const std::size_t n = kills.size();
     std::vector<DeathImage> deaths(n);
     p.parallelFor(n, [&](std::size_t i) {
-        deaths[i] = deathImageOf(kills[i]);
+        deaths[i] = deathImageOf(g, kills[i]);
     });
 
     // Group kills by death image (each kill alone with convergence
-    // off); rep[k] is the kill graded for group k.
+    // off); images[k] is group k's death image, in id order.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t(0));
     if (converge_on_)
@@ -588,20 +693,20 @@ TortureRig::runKills(const std::vector<PowerKill> &kills,
                          [&](std::size_t a, std::size_t b) {
                              return deaths[a].id() < deaths[b].id();
                          });
-    std::vector<std::size_t> rep;
+    std::vector<DeathImage> images;
     std::vector<std::size_t> group(n);
     for (const std::size_t i : order) {
-        if (rep.empty() || !converge_on_ ||
-            deaths[rep.back()].id() != deaths[i].id())
-            rep.push_back(i);
-        group[i] = rep.size() - 1;
+        if (images.empty() || !converge_on_ ||
+            images.back().id() != deaths[i].id())
+            images.push_back(deaths[i]);
+        group[i] = images.size() - 1;
     }
 
     const bool from_log = snapshotsActive();
     if (stats) {
         PruneStats st;
         st.totalKills = n;
-        st.executedKills = from_log ? rep.size() : n;
+        st.executedKills = from_log ? images.size() : n;
         st.skippedKills = n - st.executedKills;
         for (const DeathImage &d : deaths) {
             st.vulnerableKills += d.wrote ? 1 : 0;
@@ -614,10 +719,7 @@ TortureRig::runKills(const std::vector<PowerKill> &kills,
             return runKill(kills[i]);
         });
 
-    const std::vector<TortureOutcome> graded =
-        p.parallelMap(rep.size(), [&](std::size_t k) {
-            return gradeImage(deaths[rep[k]]);
-        });
+    const std::vector<TortureOutcome> graded = gradeImages(images, p);
     std::vector<TortureOutcome> out(n);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = graded[group[i]];
@@ -632,82 +734,274 @@ TortureRig::runKillsPruned(const std::vector<PowerKill> &kills,
     return runKills(kills, pool, stats);
 }
 
-TortureOutcome
-TortureRig::gradeImage(const DeathImage &death)
+bool
+TortureRig::recover(TortureBench &bench, const DeathImage &death,
+                    const std::vector<soc::ByteRange> &watch,
+                    TortureOutcome &out)
 {
     const GoldenRun &g = *golden_;
-    auto bench = acquireBench();
-    soc::Soc &sys = *bench->soc;
-    const soc::PagedImage &base = materialise(*bench, death).fram;
-    const std::vector<std::uint8_t> &fram = std::as_const(sys).fram().data();
-
-    TortureOutcome out;
-    out.killed = death.killed;
-    out.killTore = death.torn();
-    inspectSlots(fram, sys.layout(), out);
-    if (!death.killed) {
-        // The fault-free run: its final FRAM holds the answer.
-        out.finished = true;
-        out.result = readWord(fram, g.prog.resultAddr - sys.layout().framBase);
-        out.resultCorrect = out.result == g.prog.expected;
-        releaseBench(std::move(bench));
-        return out;
-    }
-    out.coldRestart = out.validSlots == 0;
-
-    // The recovery verdict is a pure function of the FRAM image and
-    // the app-finished flag (the recovery contract, see the header).
-    // Only the last golden step sets that flag, so that one image is
-    // never memoized. The byte-exact check makes a key collision
-    // degrade to a miss, never a wrong verdict.
-    const bool memoize = converge_on_ && !death.finished;
-    std::uint64_t key = 0;
-    if (memoize) {
-        key = soc::PagedImage::keyOf(fram, base, bench->dirty);
-        const RecoveryMemo *cached = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(memo_mu_);
-            const auto it = memo_.find(key);
-            if (it != memo_.end())
-                cached = &it->second;
-        }
-        // Entries are immutable and never erased, and map nodes do not
-        // move, so the check can run outside the lock.
-        if (cached && cached->image.matches(fram, base, bench->dirty)) {
-            memo_hits_.fetch_add(1, std::memory_order_relaxed);
-            releaseBench(std::move(bench));
-            out.finished = cached->finished;
-            out.result = cached->result;
-            out.resultCorrect =
-                out.finished && out.result == g.prog.expected;
-            return out;
-        }
-    }
-
-    RecoveryMemo memo;
-    if (memoize)
-        memo.image.captureDirty(fram, base, bench->dirty);
-    // Recover on this bench: power dies with the image in FRAM, then
-    // comes back on stable power. The flag clear keeps a previous
-    // recovery's finish from leaking into this one.
+    soc::Soc &sys = *bench.soc;
+    // The runtime enables the monitor only once it has restored a slot
+    // (or cold-started), so an enabled monitor means app re-entry.
+    bool read_masked = false;
+    if (!watch.empty())
+        sys.watchFramReads(watch, [&] {
+            read_masked = read_masked || sys.fsPeripheral().enabled();
+        });
+    // Power dies with the image in FRAM, then comes back on stable
+    // power. The flag clear keeps a previous recovery's finish from
+    // leaking into this one.
     sys.clearAppFinished();
     sys.powerFail();
-    *bench->volts = g.config.stableVolts;
+    *bench.volts = g.config.stableVolts;
     sys.powerOn();
     sys.run(g.config.recoveryCycles);
-    memo.finished = death.finished || sys.appFinished();
-    memo.result = memo.finished ? sys.guestResult(g.prog) : 0;
-    releaseBench(std::move(bench));
-
-    out.finished = memo.finished;
-    out.result = memo.result;
+    if (!watch.empty())
+        sys.watchFramReads({}, nullptr);
+    out.finished = death.finished || sys.appFinished();
+    out.result = out.finished ? sys.guestResult(g.prog) : 0;
     out.resultCorrect = out.finished && out.result == g.prog.expected;
-    if (memoize) {
-        // emplace keeps the first entry on a race: both racers
-        // computed the same deterministic verdict anyway.
+    recoveries_.fetch_add(1, std::memory_order_relaxed);
+    return read_masked;
+}
+
+/** Phase 1's view of one distinct death image. */
+struct TortureRig::KeyedImage {
+    TortureOutcome out;   ///< forensics, and the verdict once graded
+    bool memoize = false; ///< its recovery verdict may be shared by key
+    std::uint8_t tag = 0;
+    std::uint64_t maskedKey = 0; ///< recoveryKeyOf()
+    std::uint64_t fullKey = 0;   ///< the whole image's key
+};
+
+/** Phase 3's unit of work: one memo entry and the images it grades. */
+struct TortureRig::MemoGroup {
+    /** An earlier call's entry, or null: `leader` recovers and makes
+     *  the entry. */
+    const RecoveryMemo *entry = nullptr;
+    std::size_t leader = 0;
+    std::uint8_t tag = 0;    ///< the new entry's tag
+    bool memoize = false;    ///< false: `leader` recovers alone
+    std::vector<std::size_t> members; ///< the other images, in id order
+};
+
+bool
+TortureRig::RecoveryMemo::covers(const std::vector<std::uint8_t> &fram,
+                                 const soc::PagedImage &base,
+                                 const soc::DirtyPages &dirty,
+                                 const soc::CheckpointLayout &layout) const
+{
+    return tag == kFullImage
+               ? image.matches(fram, base, dirty)
+               : image.matchesOutside(fram, base, dirty, maskOf(tag, layout));
+}
+
+std::vector<TortureOutcome>
+TortureRig::gradeImages(const std::vector<DeathImage> &images,
+                        util::ThreadPool &pool)
+{
+    const GoldenRun &g = *golden_;
+    const std::size_t n = images.size();
+
+    // Phase 1 (parallel): rebuild each image, inspect its slots, key it.
+    std::vector<KeyedImage> keyed(n);
+    pool.parallelFor(n, [&](std::size_t k) {
+        const DeathImage &death = images[k];
+        KeyedImage &ki = keyed[k];
+        auto bench = acquireBench();
+        const soc::Soc &sys = *bench->soc;
+        const soc::PagedImage &base = materialise(g, *bench, death);
+        const std::vector<std::uint8_t> &fram = sys.fram().data();
+        ki.out.killed = death.killed;
+        ki.out.killTore = death.torn();
+        const SlotInfos slots = inspectSlots(fram, sys.layout(), ki.out);
+        if (!death.killed) {
+            // The fault-free run: its final FRAM holds the answer.
+            ki.out.finished = true;
+            ki.out.result =
+                readWord(fram, g.prog.resultAddr - sys.layout().framBase);
+            ki.out.resultCorrect = ki.out.result == g.prog.expected;
+        } else {
+            ki.out.coldRestart = ki.out.validSlots == 0;
+            // Only the last golden step sets the app-finished flag, so
+            // that one image is never shared.
+            ki.memoize = converge_on_ && !death.finished;
+        }
+        if (ki.memoize) {
+            RecoveryMask mask;
+            mask.tag = ki.tag = tagOf(slots);
+            mask.ranges = maskOf(mask.tag, sys.layout());
+            ki.maskedKey = recoveryKeyOf(mask, fram, base, bench->dirty);
+            ki.fullKey = util::mixSeed(
+                soc::PagedImage::keyOf(fram, base, bench->dirty), kFullImage);
+        }
+        releaseBench(std::move(bench));
+    });
+
+    // Phase 2 (serial, id order, under the memo lock): join each image
+    // to the entry its key names, an earlier call's or a new one whose
+    // leader is the first image with the key. An entry whose recovery
+    // read a masked byte names images by their full key instead.
+    std::vector<MemoGroup> groups;
+    {
+        std::unordered_map<std::uint64_t, std::size_t> fresh; // key->group
+        std::unordered_map<const RecoveryMemo *, std::size_t> held;
         std::lock_guard<std::mutex> lock(memo_mu_);
-        memo_.emplace(key, std::move(memo));
+        for (std::size_t k = 0; k < n; ++k) {
+            const KeyedImage &ki = keyed[k];
+            if (!ki.out.killed)
+                continue;
+            MemoGroup solo;
+            solo.leader = k;
+            if (!ki.memoize) {
+                groups.push_back(std::move(solo));
+                continue;
+            }
+            std::uint8_t tag = ki.tag;
+            std::uint64_t key = ki.maskedKey;
+            auto it = memo_.find(key);
+            if (it != memo_.end() && it->second.tag == tag &&
+                it->second.readMasked) {
+                tag = kFullImage;
+                key = ki.fullKey;
+                it = memo_.find(key);
+            }
+            if (it != memo_.end() && it->second.tag == tag) {
+                const auto at = held.emplace(&it->second, groups.size());
+                if (at.second) {
+                    MemoGroup joined;
+                    joined.entry = &it->second;
+                    groups.push_back(std::move(joined));
+                }
+                groups[at.first->second].members.push_back(k);
+                continue;
+            }
+            const auto at = fresh.emplace(key, groups.size());
+            if (!at.second && groups[at.first->second].tag == tag) {
+                groups[at.first->second].members.push_back(k);
+                continue;
+            }
+            // A new key (or, on a 64-bit key collision, a lone image).
+            solo.tag = tag;
+            solo.memoize = at.second;
+            groups.push_back(std::move(solo));
+        }
     }
+
+    // Rebuild image k on @p bench; true when @p entry's verdict is its
+    // verdict.
+    const auto covered = [&](TortureBench &bench, const RecoveryMemo &entry,
+                             std::size_t k) {
+        const soc::PagedImage &base = materialise(g, bench, images[k]);
+        return entry.covers(bench.soc->fram().data(), base, bench.dirty,
+                            bench.soc->layout());
+    };
+    const auto take = [&](const RecoveryMemo &entry, std::size_t k) {
+        memo_hits_.fetch_add(1, std::memory_order_relaxed);
+        TortureOutcome &out = keyed[k].out;
+        out.finished = entry.finished;
+        out.result = entry.result;
+        out.resultCorrect = out.finished && out.result == g.prog.expected;
+    };
+
+    // Phase 3a (parallel over groups): one recovery per new entry. A
+    // leader whose recovery read a masked byte regrades its group under
+    // full-image keys on the spot. made[gi] holds group gi's new
+    // entries and their keys, [0] the group's own.
+    std::vector<std::vector<std::pair<std::uint64_t, RecoveryMemo>>> made(
+        groups.size());
+    pool.parallelFor(groups.size(), [&](std::size_t gi) {
+        const MemoGroup &grp = groups[gi];
+        if (grp.entry)
+            return;
+        auto bench = acquireBench();
+        if (!grp.memoize) {
+            materialise(g, *bench, images[grp.leader]);
+            recover(*bench, images[grp.leader], {}, keyed[grp.leader].out);
+            releaseBench(std::move(bench));
+            return;
+        }
+        // Recover image k as the leader of a new entry tagged @p tag,
+        // watching the ranges its key masks.
+        const auto lead = [&](std::size_t k, std::uint8_t tag) {
+            RecoveryMemo memo;
+            memo.tag = tag;
+            const soc::PagedImage &base = materialise(g, *bench, images[k]);
+            memo.image.captureDirty(bench->soc->fram().data(), base,
+                                    bench->dirty);
+            TortureOutcome &out = keyed[k].out;
+            memo.readMasked = recover(
+                *bench, images[k],
+                tag == kFullImage ? std::vector<soc::ByteRange>{}
+                                  : maskOf(tag, bench->soc->layout()),
+                out);
+            memo.finished = out.finished;
+            memo.result = out.result;
+            return memo;
+        };
+        const KeyedImage &lk = keyed[grp.leader];
+        auto &mine = made[gi];
+        mine.emplace_back(grp.tag == kFullImage ? lk.fullKey : lk.maskedKey,
+                          lead(grp.leader, grp.tag));
+        if (mine[0].second.readMasked) {
+            // The verdict may depend on masked bytes. The masked entry
+            // keeps no verdict, only the redirection.
+            fallbacks_.fetch_add(1, std::memory_order_relaxed);
+            RecoveryMemo full = mine[0].second;
+            full.tag = kFullImage;
+            full.readMasked = false;
+            mine[0].second.image = soc::PagedImage();
+            mine.emplace_back(lk.fullKey, std::move(full));
+            for (const std::size_t k : grp.members) {
+                const auto same = std::find_if(
+                    mine.begin() + 1, mine.end(), [&](const auto &m) {
+                        return m.first == keyed[k].fullKey;
+                    });
+                if (same != mine.end() && covered(*bench, same->second, k))
+                    take(same->second, k);
+                else
+                    mine.emplace_back(keyed[k].fullKey, lead(k, kFullImage));
+            }
+        }
+        releaseBench(std::move(bench));
+    });
+
+    // Phase 3b (parallel over members): byte-check each remaining
+    // member against its entry; a mismatch (a key collision) recovers
+    // alone.
+    std::vector<std::pair<const RecoveryMemo *, std::size_t>> checks;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const MemoGroup &grp = groups[gi];
+        const RecoveryMemo *entry =
+            grp.entry ? grp.entry
+                      : !made[gi].empty() && !made[gi][0].second.readMasked
+                            ? &made[gi][0].second
+                            : nullptr;
+        if (entry)
+            for (const std::size_t k : grp.members)
+                checks.emplace_back(entry, k);
+    }
+    pool.parallelFor(checks.size(), [&](std::size_t c) {
+        const auto [entry, k] = checks[c];
+        auto bench = acquireBench();
+        if (covered(*bench, *entry, k))
+            take(*entry, k);
+        else
+            recover(*bench, images[k], {}, keyed[k].out);
+        releaseBench(std::move(bench));
+    });
+
+    {
+        // emplace keeps the first entry should two calls race a key.
+        std::lock_guard<std::mutex> lock(memo_mu_);
+        for (auto &group_made : made)
+            for (auto &[key, memo] : group_made)
+                memo_.emplace(key, std::move(memo));
+    }
+
+    std::vector<TortureOutcome> out(n);
+    for (std::size_t k = 0; k < n; ++k)
+        out[k] = keyed[k].out;
     return out;
 }
 
@@ -729,9 +1023,9 @@ TortureRig::convergeStats() const
 {
     ConvergeStats st;
     st.goldenSnapshots = golden_->snapshots.size();
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    st.memoEntries = memo_.size();
+    st.memoEntries = recoveries_.load(std::memory_order_relaxed);
     st.memoHits = memo_hits_.load(std::memory_order_relaxed);
+    st.fallbacks = fallbacks_.load(std::memory_order_relaxed);
     return st;
 }
 

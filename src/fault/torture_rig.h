@@ -19,18 +19,43 @@
  * last FRAM store (Soc::step). The golden pass logs every FRAM store
  * (GoldenRun::writeLog), so each kill maps to an exact death-image id
  * -- the count of golden stores that landed, plus the torn byte lanes
- * for a kill that tears. Kills are grouped by id and each distinct id
- * is graded once: its image is rebuilt in a pooled SoC's FRAM from the
- * nearest golden FRAM image plus the logged stores plus the tear, its
- * slots are inspected, and its recovery verdict comes from a memo
- * keyed by the image's content (a byte-exact comparison guards every
- * hit, so key collisions cannot leak a wrong verdict). Only a memo
- * miss runs the recovery, on that same SoC. Verdicts are bit-identical
- * to replay-from-boot at any thread count. FS_NO_SNAPSHOT=1 forces the
- * from-boot replay; it is read on every runKills() call.
- * FS_SNAPSHOT_STRIDE overrides the golden capture stride; it is read
- * when a golden run is built, and 0 keeps only the boot and
- * commit-window images.
+ * for a kill that tears. Kills are grouped by id, and the distinct
+ * death images are graded in three phases:
+ *
+ *  1. Key (parallel). Each image is rebuilt in a pooled SoC's FRAM
+ *     from the nearest golden FRAM image plus the logged stores plus
+ *     the tear, its slots are inspected, and it gets a memo key
+ *     (recoveryKeyOf): FRAM with the register staging block and the
+ *     slot(s) the boot will not restore masked out, mixed with a tag
+ *     of the restored slot and each slot's magic-OK and CRC-OK flags.
+ *  2. Group (serial, in id order). Each image joins the memo entry its
+ *     key names -- an earlier call's, or a new one whose leader is the
+ *     first image with that key.
+ *  3. Recover. Each new entry's leader runs one recovery on a pooled
+ *     SoC and captures its image (parallel over entries); then every
+ *     member is rebuilt and byte-compared on all unmasked bytes with
+ *     its entry's image (parallel over members), so a key collision
+ *     recovers alone instead of sharing a wrong verdict.
+ *
+ * Verdicts are bit-identical to replay-from-boot at any thread count.
+ * FS_NO_SNAPSHOT=1 forces the from-boot replay; it is read on every
+ * runKills() call.
+ *
+ * Why the masked key is exact. The tag fixes the runtime's boot path,
+ * cycle for cycle: which slots it CRCs, which it restores, or that it
+ * cold-starts. A restore reloads x1-x31, mepc and SRAM from the
+ * restored slot, so nothing the boot read of the other slot survives
+ * it; a cold start leaves registers holding what it read of the slots,
+ * so there only a bad-magic slot's bytes below its magic word are
+ * masked. After the boot, the watch takes over: a leader's recovery
+ * serves the masked ranges outside FRAM's direct windows, so every
+ * read of them reaches Nvm::read, and one made while the FS monitor is
+ * enabled is recorded. powerFail() clears the monitor's control
+ * register and the runtime enables it only once it has restored a slot
+ * or cold-started, so that is every read from app re-entry on. A
+ * leader whose recovery made one keeps no shared verdict: its group is
+ * regraded under full-image keys, and so is any later image with its
+ * masked key.
  *
  * Recovery contract: a kill's verdict depends only on the FRAM it dies
  * with and on whether the app had finished. powerFail() and powerOn()
@@ -48,24 +73,36 @@
  * Cost model. Everything that depends only on (program, config) lives
  * in a GoldenRun: the instrumented pass that finds the commit windows
  * and the single-stepped golden pass that records the probe steps and
- * the FRAM write log and captures the golden FRAM images. It is built
- * once and shared by every rig of a campaign (serve::Engine keeps the
- * latest one for exhaustive point-range shards). A campaign then costs
- * one binary search over the probe steps per kill, plus per distinct
- * death image: O(FRAM pages) pointer compares and O(dirty pages)
- * copies to rebuild it, a few logged stores, slot forensics, and a
- * memo probe that touches only the dirty pages -- and, on a miss, one
- * recovery run from power-on. No ISS instruction before a kill runs
- * again. A TortureRig owns only per-campaign state: the recovery memo,
- * the SoC pool, and the convergence flag. The voltage monitor every
- * SoC samples is enrolled once per process and shared by all rigs.
+ * the FRAM write log and captures the golden FRAM images (boot and
+ * every commit-window boundary). It is built once and shared by every
+ * rig of a campaign (serve::Engine keeps the latest one for exhaustive
+ * point-range shards). A campaign then costs one binary search over
+ * the probe steps per kill, plus per distinct death image two or three
+ * rebuilds (O(FRAM pages) pointer compares, O(dirty pages) copies and
+ * the logged stores since the nearest golden image), slot forensics
+ * and a key over the dirty and masked pages -- and one recovery run
+ * from power-on per distinct key, not per image. The watch costs the
+ * leaders a bus-path load for each read of a masked range, which the
+ * boot makes only for a masked slot with a good magic. No ISS
+ * instruction before a kill runs again. A TortureRig owns only
+ * per-campaign state: the recovery memo, the SoC pool, and the
+ * convergence flag. The voltage monitor every SoC samples is enrolled
+ * once per process and shared by all rigs.
  *
  * Concurrency contract. A GoldenRun is immutable once built; any
- * number of threads and rigs may read it at once. runKill() and the
- * golden-run accessors are const and safe from any thread.
- * runKills()/runKillsPruned() may be called from several threads at
- * once, on one rig or on rigs sharing a golden run: the memo and the
- * pool are locked. setConvergenceEnabled() must not race them.
+ * number of threads and rigs may read it at once. runKill(),
+ * deathFram() and the golden-run accessors are const and safe from any
+ * thread. runKills()/runKillsPruned() may be called from several
+ * threads at once, on one rig or on rigs sharing a golden run. Phase 1
+ * touches only pooled SoCs (the pool is locked). Phase 2 holds the memo
+ * lock for its whole pass, so it sees a fixed set of earlier entries.
+ * Phase 3 reads those entries without the lock (entries are immutable
+ * and never erased, and map nodes do not move); its new entries live
+ * in per-group slots until it takes the lock once, at the end, to
+ * insert them. When two calls race one key, both recover it and the
+ * first insert wins, so only the counts depend on the race. Within
+ * one call the counts are exact at any thread count.
+ * setConvergenceEnabled() must not race them.
  */
 
 #ifndef FS_FAULT_TORTURE_RIG_H_
@@ -100,10 +137,6 @@ struct TortureConfig {
     std::uint64_t lowCycles = 200'000;    ///< brown-out phase budget
     std::size_t maxPowerCycles = 64;
     std::uint64_t recoveryCycles = 60'000'000; ///< post-kill budget
-    /** Golden FRAM-image capture stride in cycles (0 = boot and
-     *  commit-window images only); FS_SNAPSHOT_STRIDE overrides it at
-     *  runtime. */
-    std::uint64_t snapshotStride = 4096;
 };
 
 /**
@@ -129,11 +162,12 @@ struct PruneStats {
 /** Accounting for the golden-run / convergence machinery. */
 struct ConvergeStats {
     std::size_t goldenSnapshots = 0; ///< golden FRAM images
-    std::size_t memoEntries = 0;     ///< distinct death images recovered
-    /** Graded death images served from the memo. Deterministic
-     *  verdicts, but the count itself can undershoot under concurrency
-     *  (two threads racing the same cold image both run the recovery). */
+    std::size_t memoEntries = 0;     ///< recoveries run
+    /** Distinct death images graded from another image's entry. */
     std::size_t memoHits = 0;
+    /** Leaders whose recovery read a masked byte: their groups were
+     *  regraded under full-image keys. */
+    std::size_t fallbacks = 0;
 };
 
 /** Everything observed about one injected kill. */
@@ -197,19 +231,16 @@ struct GoldenRun {
     };
 
     /**
-     * Run the instrumented pass and the golden pass. The FRAM images
-     * are captured at boot, at every commit-window boundary and at the
-     * stride resolved now (FS_SNAPSHOT_STRIDE, else
-     * config.snapshotStride; 0 = no stride captures), which the run
-     * keeps in its config. Returns null and sets @p error when the
-     * schedule cannot anchor a campaign.
+     * Run the instrumented pass and the golden pass, capturing the FRAM
+     * images at boot and at every commit-window boundary. Returns null
+     * and sets @p error when the schedule cannot anchor a campaign.
      */
     static std::shared_ptr<const GoldenRun>
     build(soc::GuestProgram prog, TortureConfig config,
           GoldenError *error = nullptr);
 
     soc::GuestProgram prog;
-    TortureConfig config;      ///< snapshotStride holds the resolved one
+    TortureConfig config;
     double vCkpt = 0.0;        ///< checkpoint threshold voltage
     std::uint32_t threshold = 0; ///< the same, as a monitor count
     std::uint64_t cleanCycles = 0;
@@ -233,10 +264,31 @@ struct GoldenRun {
     }
 };
 
-/** The snapshot stride a GoldenRun built now would use. */
-std::uint64_t resolvedSnapshotStride(const TortureConfig &config);
+/**
+ * What a recovery from a death image may depend on, beyond its key:
+ * the tag (restored slot, each slot's magic-OK and CRC-OK flags) and
+ * the FRAM ranges the key leaves out (see the file comment).
+ */
+struct RecoveryMask {
+    std::uint8_t tag = 0;
+    std::vector<soc::ByteRange> ranges; ///< FRAM offsets, ascending
+};
+
+/** The mask of the death image @p fram. */
+RecoveryMask recoveryMaskOf(const std::vector<std::uint8_t> &fram,
+                            const soc::CheckpointLayout &layout);
+
+/**
+ * The memo key of death image @p fram, which equals @p base outside
+ * the pages in @p dirty: its masked content key mixed with the tag.
+ */
+std::uint64_t recoveryKeyOf(const RecoveryMask &mask,
+                            const std::vector<std::uint8_t> &fram,
+                            const soc::PagedImage &base,
+                            const soc::DirtyPages &dirty);
 
 struct TortureBench; ///< one SoC + its supply cell
+struct DeathImage;   ///< a kill's FRAM at death, by its golden-run place
 
 class TortureRig
 {
@@ -293,6 +345,9 @@ class TortureRig
                    util::ThreadPool *pool = nullptr,
                    PruneStats *stats = nullptr);
 
+    /** The FRAM image @p kill dies with, rebuilt from the golden run. */
+    std::vector<std::uint8_t> deathFram(const PowerKill &kill) const;
+
     /**
      * Instruction (pc) each kill lands on in the fault-free schedule
      * (kNoKillSite when the schedule finishes first): the address the
@@ -331,29 +386,52 @@ class TortureRig
     }
 
   private:
-    /** Memoized recovery verdict for one FRAM image at death, keyed
-     *  by image.key(). */
+    /** Memoized recovery verdict of one death image, the leader of
+     *  every image with its key. */
     struct RecoveryMemo {
-        soc::PagedImage image; ///< byte-verified on every hit
+        soc::PagedImage image; ///< the leader's FRAM; byte-checked on hits
+        /** RecoveryMask::tag, or 0xFF for a key over the whole image. */
+        std::uint8_t tag = 0;
+        /** The leader's recovery read a masked byte: no shared verdict;
+         *  images with this key are keyed on their whole image. */
+        bool readMasked = false;
         bool finished = false;
         std::uint32_t result = 0;
+
+        /** This entry's verdict is that of @p fram (which equals
+         *  @p base outside @p dirty): it matches every keyed byte. */
+        bool covers(const std::vector<std::uint8_t> &fram,
+                    const soc::PagedImage &base,
+                    const soc::DirtyPages &dirty,
+                    const soc::CheckpointLayout &layout) const;
     };
 
-    struct DeathImage;
+    struct KeyedImage;
+    struct MemoGroup;
 
     std::unique_ptr<TortureBench> acquireBench();
     void releaseBench(std::unique_ptr<TortureBench> bench);
-    DeathImage deathImageOf(const PowerKill &kill) const;
-    const GoldenRun::Snapshot &materialise(TortureBench &bench,
-                                           const DeathImage &death) const;
-    TortureOutcome gradeImage(const DeathImage &death);
+    /** The three grading phases over distinct death images. */
+    std::vector<TortureOutcome>
+    gradeImages(const std::vector<DeathImage> &images,
+                util::ThreadPool &pool);
+    /**
+     * Recover @p death, whose image @p bench's FRAM holds, into
+     * @p out's verdict fields. Returns true when it read one of the
+     * @p watch ranges from app re-entry on.
+     */
+    bool recover(TortureBench &bench, const DeathImage &death,
+                 const std::vector<soc::ByteRange> &watch,
+                 TortureOutcome &out);
 
     std::shared_ptr<const GoldenRun> golden_;
 
     bool converge_on_ = true;
     mutable std::mutex memo_mu_;
     std::unordered_map<std::uint64_t, RecoveryMemo> memo_;
+    std::atomic<std::size_t> recoveries_{0};
     std::atomic<std::size_t> memo_hits_{0};
+    std::atomic<std::size_t> fallbacks_{0};
 
     /** Recycled SoCs. Each one's FRAM is the buffer its death images
      *  are rebuilt in, by delta from the image it last held; under the

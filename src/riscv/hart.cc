@@ -132,20 +132,33 @@ Hart::syncSlowAccess()
         slow_sync_();
 }
 
+void
+Hart::loadWindows()
+{
+    windows_ = bus_.directWindows();
+    // runDbt's window test (addr - base <= span - width) needs room
+    // for a word; a smaller window takes the bus path.
+    windows_.erase(std::remove_if(windows_.begin(), windows_.end(),
+                                  [](const DirectWindow &w) {
+                                      return w.span < 4;
+                                  }),
+                   windows_.end());
+    windows_init_ = true;
+    mru_window_ = 0;
+}
+
+void
+Hart::refreshDirectWindows()
+{
+    if (windows_init_)
+        loadWindows();
+}
+
 const DirectWindow *
 Hart::findWindow(std::uint32_t addr, unsigned bytes)
 {
-    if (!windows_init_) {
-        windows_ = bus_.directWindows();
-        // runDbt's window test (addr - base <= span - width) needs
-        // room for a word; a smaller window takes the bus path.
-        windows_.erase(std::remove_if(windows_.begin(), windows_.end(),
-                                      [](const DirectWindow &w) {
-                                          return w.span < 4;
-                                      }),
-                       windows_.end());
-        windows_init_ = true;
-    }
+    if (!windows_init_)
+        loadWindows();
     if (mru_window_ < windows_.size() &&
         windows_[mru_window_].contains(addr, bytes))
         return &windows_[mru_window_];

@@ -183,6 +183,9 @@ class Hart
     }
     const DbtCache &dbtCache() const { return dbt_; }
     DbtCache &dbtCache() { return dbt_; }
+    /** Re-read the direct windows from the bus (call after a device
+     *  changed the ranges it serves directly). */
+    void refreshDirectWindows();
 
     /**
      * Power failure: all volatile architectural state decays. Cached
@@ -215,6 +218,7 @@ class Hart
     std::uint32_t load(std::uint32_t addr, unsigned bytes);
     void store(std::uint32_t addr, std::uint32_t value, unsigned bytes);
     const DirectWindow *findWindow(std::uint32_t addr, unsigned bytes);
+    void loadWindows();
     void syncSlowAccess();
     std::uint64_t worstCost(const Decoded &d) const;
 

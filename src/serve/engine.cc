@@ -209,8 +209,7 @@ struct Engine::GoldenEntry {
     std::shared_ptr<const fault::GoldenRun> run;
     analysis::LintReport lint;
 
-    /** True when this entry is the golden run `job` would build with
-     *  the snapshot stride resolved now. */
+    /** True when this entry is the golden run `job` would build. */
     bool serves(const TortureJob &job) const
     {
         const fault::TortureConfig &c = run->config;
@@ -221,8 +220,7 @@ struct Engine::GoldenEntry {
                workload.seed == job.workload.seed &&
                c.sramSize == want.sramSize &&
                c.stableCycles == want.stableCycles &&
-               c.lowCycles == want.lowCycles &&
-               c.snapshotStride == fault::resolvedSnapshotStride(want);
+               c.lowCycles == want.lowCycles;
     }
 };
 

@@ -16,8 +16,8 @@
  * Exhaustive point-range shards of one campaign share their fault-free
  * analysis: the engine retains the most recent golden run (and the
  * program's lint report) built for an exhaustive TortureJob, keyed on
- * everything it depends on -- workload, SRAM size, power schedule and
- * the resolved snapshot stride. It is a single entry: a shard of a
+ * everything it depends on -- workload, SRAM size and power schedule.
+ * It is a single entry: a shard of a
  * different campaign replaces it. Sampled torture jobs build their own
  * and retain nothing. Each request still grades on its own rig, so the
  * recovery memo never outlives the request.

@@ -1,7 +1,49 @@
 #include "soc/nvm.h"
 
+#include <algorithm>
+
 namespace fs {
 namespace soc {
+
+std::uint32_t
+Nvm::read(std::uint32_t addr, unsigned bytes)
+{
+    if (on_watched_read_)
+        for (const ByteRange &r : watched_)
+            if (addr < r.end && addr + bytes > r.begin)
+                on_watched_read_();
+    return riscv::Ram::read(addr, bytes);
+}
+
+std::vector<riscv::DirectWindow>
+Nvm::directWindows()
+{
+    const riscv::DirectWindow whole = riscv::Ram::directWindows().front();
+    std::vector<riscv::DirectWindow> out;
+    std::uint32_t cursor = 0;
+    const auto keep = [&](std::uint32_t end) {
+        if (end > cursor) {
+            riscv::DirectWindow w = whole;
+            w.base = cursor;
+            w.span = end - cursor;
+            w.data = whole.data + cursor;
+            out.push_back(w);
+        }
+    };
+    for (const ByteRange &r : watched_) {
+        keep(r.begin);
+        cursor = std::max(cursor, r.end);
+    }
+    keep(whole.span);
+    return out;
+}
+
+void
+Nvm::watchReads(std::vector<ByteRange> ranges, std::function<void()> on_read)
+{
+    watched_ = std::move(ranges);
+    on_watched_read_ = std::move(on_read);
+}
 
 void
 Nvm::write(std::uint32_t addr, std::uint32_t value, unsigned bytes)
@@ -12,7 +54,7 @@ Nvm::write(std::uint32_t addr, std::uint32_t value, unsigned bytes)
     last_.bytes = bytes;
     last_.tearable = true;
     for (unsigned i = 0; i < bytes && i < last_.preImage.size(); ++i)
-        last_.preImage[i] = std::uint8_t(read(addr + i, 1));
+        last_.preImage[i] = std::uint8_t(riscv::Ram::read(addr + i, 1));
 
     unsigned kept = bytes;
     std::uint32_t flip = 0;

@@ -13,8 +13,10 @@
 
 #include <array>
 #include <functional>
+#include <vector>
 
 #include "riscv/memory.h"
+#include "soc/snapshot.h"
 
 namespace fs {
 namespace soc {
@@ -36,8 +38,22 @@ class Nvm : public riscv::Ram
     {
     }
 
+    std::uint32_t read(std::uint32_t addr, unsigned bytes) override;
     void write(std::uint32_t addr, std::uint32_t value,
                unsigned bytes) override;
+
+    /** Direct windows over every byte outside the watched ranges. */
+    std::vector<riscv::DirectWindow> directWindows() override;
+
+    /**
+     * Watch reads of @p ranges (sorted, disjoint; an empty list ends
+     * the watch): they leave the direct windows, so every load or
+     * fetch of them comes through read(), which calls @p on_read for
+     * each one that overlaps a range. Stores are not reads. A hart
+     * must re-read the windows afterwards (Soc::watchFramReads).
+     */
+    void watchReads(std::vector<ByteRange> ranges,
+                    std::function<void()> on_read);
 
     /** Install (or clear, with nullptr) the tear filter. */
     void setWriteFilter(WriteFilter filter)
@@ -67,6 +83,8 @@ class Nvm : public riscv::Ram
     };
 
     WriteFilter filter_;
+    std::vector<ByteRange> watched_;
+    std::function<void()> on_watched_read_;
     LastWrite last_;
     std::uint64_t bytes_written_ = 0;
 };

@@ -39,6 +39,31 @@ sameBytes(const Page &page, const std::uint8_t *bytes)
     return std::memcmp(page.data(), bytes, page.size()) == 0;
 }
 
+/**
+ * Call fn(lo, hi) for each stretch [lo, hi) of [off, end) outside the
+ * sorted @p mask; returns false, calling nothing, when no mask range
+ * overlaps [off, end).
+ */
+template <class Fn>
+bool
+forEachOutside(const std::vector<ByteRange> &mask, std::size_t off,
+               std::size_t end, Fn &&fn)
+{
+    bool overlaps = false;
+    std::size_t cursor = off;
+    for (const ByteRange &r : mask) {
+        if (r.end <= off || r.begin >= end)
+            continue;
+        overlaps = true;
+        if (r.begin > cursor)
+            fn(cursor, std::size_t(r.begin));
+        cursor = std::max(cursor, std::size_t(r.end));
+    }
+    if (overlaps && cursor < end)
+        fn(cursor, end);
+    return overlaps;
+}
+
 } // namespace
 
 void
@@ -136,6 +161,60 @@ PagedImage::matches(const std::vector<std::uint8_t> &mem,
         if (pages_[p] == base.pages_[p] && !dirty.contains(p))
             continue;
         if (!sameBytes(*pages_[p], mem.data() + p * kPageBytes))
+            return false;
+    }
+    return true;
+}
+
+std::uint64_t
+PagedImage::maskedKeyOf(const std::vector<std::uint8_t> &mem,
+                        const PagedImage &base, const DirtyPages &dirty,
+                        const std::vector<ByteRange> &mask)
+{
+    std::uint64_t key = keyOf(mem, base, dirty);
+    std::size_t done = 0; // pages below this one are already corrected
+    for (const ByteRange &r : mask) {
+        const std::size_t last = std::min<std::size_t>(
+            (std::size_t(r.end) + kPageBytes - 1) / kPageBytes,
+            base.pages_.size());
+        for (std::size_t p = std::max(done, r.begin / kPageBytes); p < last;
+             ++p) {
+            const std::size_t off = p * kPageBytes;
+            const std::size_t len = base.pages_[p]->size();
+            std::array<std::uint8_t, kPageBytes> page{};
+            forEachOutside(mask, off, off + len,
+                           [&](std::size_t lo, std::size_t hi) {
+                               std::memcpy(page.data() + (lo - off),
+                                           mem.data() + lo, hi - lo);
+                           });
+            key += keyTerm(util::hashImage64(page.data(), len), p) -
+                   keyTerm(util::hashImage64(mem.data() + off, len), p);
+        }
+        done = std::max(done, last);
+    }
+    return key;
+}
+
+bool
+PagedImage::matchesOutside(const std::vector<std::uint8_t> &mem,
+                           const PagedImage &base, const DirtyPages &dirty,
+                           const std::vector<ByteRange> &mask) const
+{
+    if (mem.size() != size_ || base.size_ != size_)
+        return false;
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+        if (pages_[p] == base.pages_[p] && !dirty.contains(p))
+            continue;
+        const std::size_t off = p * kPageBytes;
+        const std::uint8_t *held = pages_[p]->data();
+        bool same = true;
+        const bool masked = forEachOutside(
+            mask, off, off + pages_[p]->size(),
+            [&](std::size_t lo, std::size_t hi) {
+                same = same && std::memcmp(held + (lo - off),
+                                           mem.data() + lo, hi - lo) == 0;
+            });
+        if (masked ? !same : !sameBytes(*pages_[p], mem.data() + off))
             return false;
     }
     return true;

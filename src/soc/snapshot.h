@@ -3,8 +3,8 @@
  * Copy-on-write FRAM images for snapshot-fork fault grading.
  *
  * After a power failure only FRAM survives, so a torture campaign's
- * golden run keeps nothing but FRAM images (PagedImage): at boot, at
- * every commit-window boundary and at a fixed stride. Each capture
+ * golden run keeps nothing but FRAM images (PagedImage): at boot and
+ * at every commit-window boundary. Each capture
  * compares its pages against the previous image in the golden
  * sequence and shares the unchanged ones, so the 10^3-10^4 images a
  * campaign keeps alive cost roughly one full image plus the
@@ -16,7 +16,9 @@
  * and an image's key is an order-aware sum of per-page terms. A buffer
  * that holds image B outside a few written pages (DirtyPages) can key,
  * verify and capture itself against B by touching only those pages --
- * every page it did not write still equals B's page.
+ * every page it did not write still equals B's page. The masked key
+ * and compare leave given byte ranges out, for buffers whose bytes
+ * there cannot matter; they cost O(dirty pages + masked pages) too.
  */
 
 #ifndef FS_SOC_SNAPSHOT_H_
@@ -29,6 +31,12 @@
 
 namespace fs {
 namespace soc {
+
+/** Byte offsets [begin, end) into an image. */
+struct ByteRange {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+};
 
 /**
  * Indices of the pages written since some reference point, each listed
@@ -124,6 +132,21 @@ class PagedImage
      */
     bool matches(const std::vector<std::uint8_t> &mem,
                  const PagedImage &base, const DirtyPages &dirty) const;
+
+    /**
+     * keyOf() with every byte in @p mask (sorted, disjoint ranges)
+     * read as zero: buffers that differ only inside the mask get equal
+     * keys.
+     */
+    static std::uint64_t maskedKeyOf(const std::vector<std::uint8_t> &mem,
+                                     const PagedImage &base,
+                                     const DirtyPages &dirty,
+                                     const std::vector<ByteRange> &mask);
+
+    /** matches() on the bytes outside @p mask (as in maskedKeyOf). */
+    bool matchesOutside(const std::vector<std::uint8_t> &mem,
+                        const PagedImage &base, const DirtyPages &dirty,
+                        const std::vector<ByteRange> &mask) const;
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

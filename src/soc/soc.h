@@ -106,6 +106,18 @@ class Soc
     void clearAppFinished() { app_finished_ = false; }
 
     /**
+     * Watch FRAM reads of @p ranges (FRAM offsets, sorted, disjoint;
+     * empty ends the watch): every load or fetch of them takes the
+     * bus path and calls @p on_read (Nvm::watchReads).
+     */
+    void watchFramReads(std::vector<ByteRange> ranges,
+                        std::function<void()> on_read)
+    {
+        fram_.watchReads(std::move(ranges), std::move(on_read));
+        hart_.refreshDirectWindows();
+    }
+
+    /**
      * True when FRAM holds a committed checkpoint: some slot carries
      * the exact commit magic and a matching CRC. Uninitialized or
      * corrupted FRAM can never read as valid.

@@ -2,11 +2,11 @@
  * @file
  * Hardened environment-knob parsing.
  *
- * Every FS_* tuning knob (FS_THREADS, FS_SNAPSHOT_STRIDE,
- * FS_DBT_CACHE_BYTES, FS_SWARM_*) goes through these helpers instead
- * of a bare strtoull so that garbage or out-of-range values fall back
- * to the documented default with a one-line stderr warning -- never a
- * silent parse to 0 that turns a typo into a behavior change. The
+ * Every FS_* tuning knob (FS_THREADS, FS_DBT_CACHE_BYTES, FS_SWARM_*)
+ * goes through these helpers instead of a bare strtoull so that
+ * garbage or out-of-range values fall back to the documented default
+ * with a one-line stderr warning -- never a silent parse to 0 that
+ * turns a typo into a behavior change. The
  * warning is emitted once per variable per process so a knob read in
  * a hot path does not spam.
  */

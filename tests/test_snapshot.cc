@@ -16,6 +16,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/firmware_linter.h"
@@ -179,6 +181,67 @@ TEST(PagedImage, IncrementalKeyEqualsRecomputedKey)
     soc::PagedImage sw;
     sw.capture(swapped, nullptr);
     EXPECT_NE(sw.key(), base.key());
+}
+
+TEST(PagedImage, MaskedKeyAndCompareSeeOnlyUnmaskedBytes)
+{
+    // Ranges that start and end mid-page, share a page, span a page
+    // boundary, and end in the short final page.
+    constexpr std::size_t kPage = soc::PagedImage::kPageBytes;
+    constexpr std::size_t kSize = 8 * kPage + 60;
+    const std::vector<soc::ByteRange> mask = {
+        {10, 20}, {30, 2 * kPage + 5}, {5 * kPage - 3, 5 * kPage + 4},
+        {8 * kPage + 10, kSize}};
+    const auto masked = [&](std::size_t addr) {
+        for (const soc::ByteRange &r : mask)
+            if (addr >= r.begin && addr < r.end)
+                return true;
+        return false;
+    };
+    XorShift rng{0xC0FFEE42u};
+    std::vector<std::uint8_t> base_mem(kSize);
+    for (std::uint8_t &b : base_mem)
+        b = std::uint8_t(rng.next());
+    soc::PagedImage base;
+    base.capture(base_mem, nullptr);
+    soc::DirtyPages none;
+    none.reset(9);
+
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::vector<std::uint8_t> mem = base_mem;
+        soc::DirtyPages dirty;
+        dirty.reset(9);
+        for (std::size_t w = rng.next() % 6; w > 0; --w) {
+            const std::size_t addr = rng.next() % kSize;
+            mem[addr] = std::uint8_t(rng.next());
+            dirty.mark(addr / kPage);
+        }
+        bool outside = false; // an unmasked byte changed
+        for (std::size_t a = 0; a < kSize; ++a)
+            outside = outside || (!masked(a) && mem[a] != base_mem[a]);
+        // The masked key is the plain key of the image with every
+        // masked byte zeroed.
+        std::vector<std::uint8_t> zeroed = mem;
+        for (std::size_t a = 0; a < kSize; ++a)
+            if (masked(a))
+                zeroed[a] = 0;
+        soc::PagedImage z;
+        z.capture(zeroed, nullptr);
+        EXPECT_EQ(soc::PagedImage::maskedKeyOf(mem, base, dirty, mask),
+                  z.key());
+        EXPECT_EQ(soc::PagedImage::maskedKeyOf(mem, base, dirty, mask) ==
+                      soc::PagedImage::maskedKeyOf(base_mem, base, none,
+                                                   mask),
+                  !outside);
+        EXPECT_EQ(base.matchesOutside(mem, base, dirty, mask), !outside);
+        EXPECT_TRUE(base.matchesOutside(mem, base, dirty, {{0, kSize}}));
+        soc::PagedImage held;
+        held.captureDirty(mem, base, dirty);
+        EXPECT_TRUE(held.matchesOutside(mem, base, dirty, mask));
+        EXPECT_EQ(held.matchesOutside(base_mem, base, none, mask),
+                  !outside);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -391,24 +454,20 @@ TEST_F(SnapshotFork, RigsSharingOneGoldenRunGradeConcurrently)
               rig().convergeStats().goldenSnapshots);
 }
 
-TEST_F(SnapshotFork, StrideZeroStillGradesFromTheWriteLog)
+TEST_F(SnapshotFork, BootAndCommitWindowImagesGradeFromTheWriteLog)
 {
-    // Stride 0 keeps only the boot and commit-window images; kills are
-    // still graded from the write log, with the reference verdicts.
-    const std::size_t dense = rig().convergeStats().goldenSnapshots;
-    EnvGuard guard("FS_SNAPSHOT_STRIDE", "0");
-    fault::TortureRig sparse(rig().golden()->prog, rig().golden()->config);
-    ASSERT_TRUE(sparse.snapshotsActive());
-    EXPECT_EQ(sparse.golden()->config.snapshotStride, 0u);
-    EXPECT_EQ(sparse.convergeStats().goldenSnapshots,
-              1 + 2 * sparse.checkpointCount());
-    EXPECT_LT(sparse.convergeStats().goldenSnapshots, dense);
+    // The golden run keeps only the boot and commit-window images;
+    // kills are graded from the write log, with the reference verdicts.
+    fault::TortureRig fresh(rig().golden());
+    ASSERT_TRUE(fresh.snapshotsActive());
+    EXPECT_EQ(fresh.convergeStats().goldenSnapshots,
+              1 + 2 * fresh.checkpointCount());
 
     const std::vector<fault::PowerKill> batch = kills();
     const std::vector<fault::TortureOutcome> &ref = reference();
     util::ThreadPool pool(4);
     fault::PruneStats stats;
-    const auto graded = sparse.runKills(batch, &pool, &stats);
+    const auto graded = fresh.runKills(batch, &pool, &stats);
     EXPECT_LT(stats.executedKills, batch.size())
         << "kills sharing a death image should be graded once";
     ASSERT_EQ(graded.size(), ref.size());
@@ -515,6 +574,298 @@ TEST_F(SnapshotFork, TornCommitMagicDecidesWhichCheckpointSurvives)
         EXPECT_EQ(out.tornSlots, 0);
         EXPECT_TRUE(out.resultCorrect);
     }
+}
+
+// ---------------------------------------------------------------------
+// Memo keys on the restored checkpoint
+// ---------------------------------------------------------------------
+
+/** Kills that fire before the app's last step: the memoized ones. */
+std::vector<fault::PowerKill>
+memoizedOnly(const fault::GoldenRun &g, std::vector<fault::PowerKill> kills)
+{
+    kills.erase(std::remove_if(kills.begin(), kills.end(),
+                               [&](const fault::PowerKill &k) {
+                                   return g.stepAt(k.cycle) + 1 >=
+                                          g.probeSteps.size();
+                               }),
+                kills.end());
+    return kills;
+}
+
+/** A kill on every @p every-th FRAM-storing golden step, landing, torn
+ *  back whole, and torn with noise. */
+std::vector<fault::PowerKill>
+storingStepKills(const fault::GoldenRun &g, std::size_t every)
+{
+    std::vector<fault::PowerKill> out;
+    std::size_t n = 0;
+    for (std::size_t s = 0; s < g.probeSteps.size(); ++s) {
+        if (!g.stepWrote(s) || n++ % every != 0)
+            continue;
+        const std::uint64_t c = g.probeSteps[s].cycleAfter;
+        out.push_back(fault::PowerKill{c, 4, 0});
+        out.push_back(fault::PowerKill{c, 0, 0});
+        out.push_back(fault::PowerKill{c, 1, 0x5A5A5A5Au});
+    }
+    return out;
+}
+
+/** Memo key of a death image, keyed from scratch. */
+std::uint64_t
+keyOfDeath(const std::vector<std::uint8_t> &fram,
+           const soc::CheckpointLayout &layout)
+{
+    soc::PagedImage base;
+    base.capture(fram, nullptr);
+    soc::DirtyPages none;
+    none.reset(base.pages().size());
+    return fault::recoveryKeyOf(fault::recoveryMaskOf(fram, layout), fram,
+                                base, none);
+}
+
+/** The layout every torture rig of these tests runs on. */
+soc::CheckpointLayout
+rigLayout()
+{
+    soc::CheckpointLayout layout;
+    layout.sramSize = fault::TortureConfig{}.sramSize;
+    return layout;
+}
+
+/** What a recovery holds at the first instruction of app code. */
+struct Reentry {
+    std::uint64_t cycles = 0; ///< since power-on
+    riscv::Hart::ArchState arch;
+    std::vector<std::uint8_t> sram;
+};
+
+Reentry
+bootToApp(soc::Soc &sys, const std::vector<std::uint8_t> &fram)
+{
+    sys.powerFail();
+    std::copy(fram.begin(), fram.end(), sys.fram().data().begin());
+    sys.powerOn();
+    const std::uint64_t start = sys.hart().cycles();
+    for (int i = 0; i < 1'000'000 && sys.hart().pc() < sys.layout().appBase;
+         ++i)
+        sys.step();
+    Reentry r;
+    r.cycles = sys.hart().cycles() - start;
+    r.arch = sys.hart().saveArch();
+    r.sram = sys.sram().data();
+    return r;
+}
+
+TEST(RecoveryKey, KeyGroupsReenterTheAppInOneState)
+{
+    // Every image sharing a memo key must reach app code with the same
+    // cycle count, pc, x1-x31, CSRs and SRAM: the boot path the key's
+    // tag fixes, restoring what its unmasked bytes hold. From the third
+    // checkpoint on, a commit overwrites a committed slot, so a torn
+    // first store can leave the slot the boot does not restore valid.
+    fault::TortureConfig config;
+    config.stableCycles = 60'000;
+    config.lowCycles = 30'000;
+    const fault::TortureRig rig(soc::makeCrc32Program(4096, 11), config);
+    ASSERT_GE(rig.checkpointCount(), 3u);
+    const fault::GoldenRun &g = *rig.golden();
+    std::vector<fault::PowerKill> batch = storingStepKills(g, 1);
+    for (std::uint64_t c = g.cleanCycles / 64; c < g.cleanCycles;
+         c += g.cleanCycles / 64)
+        batch.push_back(fault::PowerKill{c, 0, 0});
+    batch = memoizedOnly(g, std::move(batch));
+    const soc::CheckpointLayout layout = rigLayout();
+
+    std::vector<std::uint64_t> keys(batch.size());
+    std::vector<Reentry> states(batch.size());
+    constexpr std::size_t kWorkers = 4;
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kWorkers; ++t)
+        workers.emplace_back([&, t] {
+            SocBench b = makeBench();
+            for (std::size_t i = t; i < batch.size(); i += kWorkers) {
+                const std::vector<std::uint8_t> fram =
+                    rig.deathFram(batch[i]);
+                keys[i] = keyOfDeath(fram, layout);
+                states[i] = bootToApp(*b.soc, fram);
+            }
+        });
+    for (std::thread &w : workers)
+        w.join();
+
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    std::size_t shared = 0;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_GE(states[i].arch.pc, layout.appBase) << "kill " << i;
+        const auto at = first.emplace(keys[i], i);
+        if (at.second)
+            continue;
+        ++shared;
+        const Reentry &a = states[at.first->second];
+        const Reentry &b = states[i];
+        if (a.cycles != b.cycles || a.arch.pc != b.arch.pc ||
+            a.arch.regs != b.arch.regs || a.arch.csrs != b.arch.csrs ||
+            a.sram != b.sram) {
+            if (mismatches++ == 0)
+                ADD_FAILURE() << "kills " << at.first->second << " and " << i
+                              << " share a key but re-enter at cycles "
+                              << a.cycles << " / " << b.cycles << ", pc 0x"
+                              << std::hex << a.arch.pc << " / 0x"
+                              << b.arch.pc;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(shared, batch.size() / 2) << "keys should collapse images";
+    EXPECT_GT(first.size(), 2 * rig.checkpointCount());
+}
+
+TEST_F(SnapshotFork, RecoveriesRunOncePerKeyAtOneAndEightThreads)
+{
+    const fault::GoldenRun &g = *rig().golden();
+    std::vector<fault::PowerKill> batch = kills();
+    const std::vector<fault::PowerKill> storing = storingStepKills(g, 7);
+    batch.insert(batch.end(), storing.begin(), storing.end());
+    batch = memoizedOnly(g, std::move(batch));
+    std::unordered_set<std::uint64_t> keys;
+    for (const fault::PowerKill &kill : batch)
+        keys.insert(keyOfDeath(rig().deathFram(kill), rigLayout()));
+
+    util::ThreadPool one(1);
+    util::ThreadPool eight(8);
+    std::vector<fault::ConvergeStats> stats;
+    std::vector<std::vector<fault::TortureOutcome>> graded;
+    for (util::ThreadPool *pool : {&one, &eight}) {
+        fault::TortureRig fresh(rig().golden());
+        fault::PruneStats prune;
+        graded.push_back(fresh.runKills(batch, pool, &prune));
+        stats.push_back(fresh.convergeStats());
+        EXPECT_EQ(stats.back().memoEntries, keys.size())
+            << "one recovery per distinct key";
+        EXPECT_EQ(stats.back().memoEntries + stats.back().memoHits,
+                  prune.executedKills)
+            << "every distinct death image recovered or hit";
+        EXPECT_EQ(stats.back().fallbacks, 0u);
+    }
+    EXPECT_EQ(stats[0].memoEntries, stats[1].memoEntries);
+    EXPECT_EQ(stats[0].memoHits, stats[1].memoHits);
+    EXPECT_LT(keys.size(), batch.size() / 4);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        expectSameOutcome(graded[0][i], graded[1][i], i);
+}
+
+/**
+ * makeCrc32Program(2048, 11), except that it XORs both checkpoint
+ * slots' magic words into the CRC before storing it. The fault-free
+ * run finishes with both slots committed, so the words cancel; a
+ * recovery that restored one slot reads the other one after re-entry.
+ */
+soc::GuestProgram
+otherSlotReadingProgram(const soc::CheckpointLayout &layout)
+{
+    using namespace riscv;
+    soc::GuestProgram prog = soc::makeCrc32Program(2048, 11);
+    prog.name = "crc32-reads-both-slots";
+    Assembler as(layout.appBase);
+    const auto byte_loop = as.newLabel();
+    const auto bit_loop = as.newLabel();
+    const auto skip_xor = as.newLabel();
+    const auto done = as.newLabel();
+    as.li(kT0, std::int32_t(prog.dataAddr));
+    as.li(kT1, std::int32_t(prog.dataAddr + prog.data.size()));
+    as.li(kA2, -1);
+    as.li(kT4, std::int32_t(0xedb88320u));
+    as.bind(byte_loop);
+    as.bgeuTo(kT0, kT1, done);
+    as.emit(lbu(kT2, kT0, 0));
+    as.emit(xor_(kA2, kA2, kT2));
+    as.li(kT5, 8);
+    as.bind(bit_loop);
+    as.emit(andi(kT3, kA2, 1));
+    as.emit(srli(kA2, kA2, 1));
+    as.beqTo(kT3, kZero, skip_xor);
+    as.emit(xor_(kA2, kA2, kT4));
+    as.bind(skip_xor);
+    as.emit(addi(kT5, kT5, -1));
+    as.bneTo(kT5, kZero, bit_loop);
+    as.emit(addi(kT0, kT0, 1));
+    as.jTo(byte_loop);
+    as.bind(done);
+    as.emit(xori(kA2, kA2, -1));
+    for (unsigned slot = 0; slot < soc::kCheckpointSlots; ++slot) {
+        as.li(kT0, std::int32_t(layout.slotMagicAddr(slot)));
+        as.emit(lw(kT1, kT0, 0));
+        as.emit(xor_(kA2, kA2, kT1));
+    }
+    as.li(kT0, std::int32_t(prog.resultAddr));
+    as.emit(sw(kA2, kT0, 0));
+    as.emit(jalr(kZero, kRa, 0));
+    prog.code = as.finalize();
+    return prog;
+}
+
+TEST(RecoveryWatch, ReadingTheOtherSlotFallsBackToFullImageKeys)
+{
+    fault::TortureConfig config;
+    config.stableCycles = 60'000;
+    config.lowCycles = 30'000;
+    const soc::CheckpointLayout layout = rigLayout();
+    fault::TortureRig rig(otherSlotReadingProgram(layout), config);
+    ASSERT_GE(rig.checkpointCount(), 2u);
+    const fault::GoldenRun &g = *rig.golden();
+
+    // Every storing step of the second commit window (it overwrites
+    // slot 1 while slot 0 is restored), the commit-magic store of every
+    // window torn three ways, and kills spread over the run.
+    std::vector<fault::PowerKill> batch;
+    const fault::CommitWindow w1 = rig.commitWindow(1);
+    for (std::size_t s = g.stepAt(w1.begin); s <= g.stepAt(w1.end - 1); ++s)
+        if (g.stepWrote(s))
+            batch.push_back(fault::PowerKill{g.probeSteps[s].cycleAfter, 4, 0});
+    for (std::size_t w = 0; w < rig.checkpointCount(); ++w)
+        for (unsigned kept = 1; kept < 4; ++kept)
+            batch.push_back(
+                fault::PowerKill{rig.commitWindow(w).end - 1, kept, 0});
+    for (std::uint64_t c = g.cleanCycles / 16; c < g.cleanCycles;
+         c += g.cleanCycles / 16)
+        batch.push_back(fault::PowerKill{c, 0, 0});
+    batch = memoizedOnly(g, std::move(batch));
+
+    util::ThreadPool pool(4);
+    const std::vector<fault::TortureOutcome> ref =
+        pool.parallelMap(batch.size(), [&](std::size_t i) {
+            return rig.runKill(batch[i]);
+        });
+    const std::vector<fault::TortureOutcome> graded =
+        rig.runKills(batch, &pool);
+    ASSERT_EQ(graded.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        expectSameOutcome(ref[i], graded[i], i);
+
+    // A masked key alone would share verdicts that differ.
+    std::unordered_map<std::uint64_t, std::uint32_t> result_of;
+    bool differ = false;
+    // Restored images recover once per full image, cold starts (whose
+    // key keeps both magic words) once per masked key.
+    std::unordered_set<std::uint64_t> restored_images, cold_keys;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const std::vector<std::uint8_t> fram = rig.deathFram(batch[i]);
+        const std::uint64_t key = keyOfDeath(fram, layout);
+        const auto at = result_of.emplace(key, ref[i].result);
+        differ = differ || at.first->second != ref[i].result;
+        if (ref[i].coldRestart) {
+            cold_keys.insert(key);
+        } else {
+            soc::PagedImage whole;
+            whole.capture(fram, nullptr);
+            restored_images.insert(whole.key());
+        }
+    }
+    EXPECT_TRUE(differ);
+    const fault::ConvergeStats stats = rig.convergeStats();
+    EXPECT_GT(stats.fallbacks, 0u);
+    EXPECT_EQ(stats.memoEntries, restored_images.size() + cold_keys.size());
 }
 
 // ---------------------------------------------------------------------
