@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "core/failure_sentinels.h"
@@ -586,7 +588,7 @@ materialise(const GoldenRun &g, TortureBench &bench, const DeathImage &death)
 /** Tag bits of the restored slot; the slot flags sit above them. */
 constexpr std::uint8_t kRestoredMask = 3;
 constexpr unsigned kSlotFlagShift = 2;
-/** RecoveryMemo::tag of an entry keyed on the whole image. */
+/** MemoEntry::tag of an entry keyed on the whole image. */
 constexpr std::uint8_t kFullImage = 0xFF;
 
 /** RecoveryMask::tag: the restored slot (kColdStart: none) in the low
@@ -684,20 +686,18 @@ TortureRig::runKills(const std::vector<PowerKill> &kills,
         deaths[i] = deathImageOf(g, kills[i]);
     });
 
-    // Group kills by death image (each kill alone with convergence
-    // off); images[k] is group k's death image, in id order.
+    // Group kills by death image; images[k] is group k's death image,
+    // in id order.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t(0));
-    if (converge_on_)
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return deaths[a].id() < deaths[b].id();
-                         });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return deaths[a].id() < deaths[b].id();
+                     });
     std::vector<DeathImage> images;
     std::vector<std::size_t> group(n);
     for (const std::size_t i : order) {
-        if (images.empty() || !converge_on_ ||
-            images.back().id() != deaths[i].id())
+        if (images.empty() || images.back().id() != deaths[i].id())
             images.push_back(deaths[i]);
         group[i] = images.size() - 1;
     }
@@ -765,8 +765,31 @@ TortureRig::recover(TortureBench &bench, const DeathImage &death,
     return read_masked;
 }
 
+namespace {
+
+/** A recovered leader's verdict, shared by every image it covers. */
+struct MemoEntry {
+    soc::PagedImage image; ///< the leader's FRAM; byte-checked on hits
+    /** RecoveryMask::tag, or kFullImage for a key over the whole image. */
+    std::uint8_t tag = 0;
+    bool finished = false;
+    std::uint32_t result = 0;
+
+    /** This entry's verdict is that of @p fram (which equals @p base
+     *  outside @p dirty): it matches every keyed byte. */
+    bool
+    covers(const std::vector<std::uint8_t> &fram, const soc::PagedImage &base,
+           const soc::DirtyPages &dirty,
+           const soc::CheckpointLayout &layout) const
+    {
+        return tag == kFullImage ? image.matches(fram, base, dirty)
+                                 : image.matchesOutside(fram, base, dirty,
+                                                        maskOf(tag, layout));
+    }
+};
+
 /** Phase 1's view of one distinct death image. */
-struct TortureRig::KeyedImage {
+struct KeyedImage {
     TortureOutcome out;   ///< forensics, and the verdict once graded
     bool memoize = false; ///< its recovery verdict may be shared by key
     std::uint8_t tag = 0;
@@ -774,27 +797,18 @@ struct TortureRig::KeyedImage {
     std::uint64_t fullKey = 0;   ///< the whole image's key
 };
 
-/** Phase 3's unit of work: one memo entry and the images it grades. */
-struct TortureRig::MemoGroup {
-    /** An earlier call's entry, or null: `leader` recovers and makes
-     *  the entry. */
-    const RecoveryMemo *entry = nullptr;
+/** Phase 3's unit of work: a leader and the images its key names. */
+struct MemoGroup {
     std::size_t leader = 0;
-    std::uint8_t tag = 0;    ///< the new entry's tag
+    std::uint8_t tag = 0;    ///< the leader's entry's tag
     bool memoize = false;    ///< false: `leader` recovers alone
     std::vector<std::size_t> members; ///< the other images, in id order
+    /** The leader's entry, for phase 3b; unset when the leader recovered
+     *  alone or its members were regraded under full-image keys. */
+    std::optional<MemoEntry> entry;
 };
 
-bool
-TortureRig::RecoveryMemo::covers(const std::vector<std::uint8_t> &fram,
-                                 const soc::PagedImage &base,
-                                 const soc::DirtyPages &dirty,
-                                 const soc::CheckpointLayout &layout) const
-{
-    return tag == kFullImage
-               ? image.matches(fram, base, dirty)
-               : image.matchesOutside(fram, base, dirty, maskOf(tag, layout));
-}
+} // namespace
 
 std::vector<TortureOutcome>
 TortureRig::gradeImages(const std::vector<DeathImage> &images,
@@ -825,7 +839,7 @@ TortureRig::gradeImages(const std::vector<DeathImage> &images,
             ki.out.coldRestart = ki.out.validSlots == 0;
             // Only the last golden step sets the app-finished flag, so
             // that one image is never shared.
-            ki.memoize = converge_on_ && !death.finished;
+            ki.memoize = !death.finished;
         }
         if (ki.memoize) {
             RecoveryMask mask;
@@ -838,82 +852,50 @@ TortureRig::gradeImages(const std::vector<DeathImage> &images,
         releaseBench(std::move(bench));
     });
 
-    // Phase 2 (serial, id order, under the memo lock): join each image
-    // to the entry its key names, an earlier call's or a new one whose
-    // leader is the first image with the key. An entry whose recovery
-    // read a masked byte names images by their full key instead.
+    // Phase 2 (serial, id order): the first image with a key leads its
+    // group, and every later image with that key joins it.
     std::vector<MemoGroup> groups;
-    {
-        std::unordered_map<std::uint64_t, std::size_t> fresh; // key->group
-        std::unordered_map<const RecoveryMemo *, std::size_t> held;
-        std::lock_guard<std::mutex> lock(memo_mu_);
-        for (std::size_t k = 0; k < n; ++k) {
-            const KeyedImage &ki = keyed[k];
-            if (!ki.out.killed)
-                continue;
-            MemoGroup solo;
-            solo.leader = k;
-            if (!ki.memoize) {
-                groups.push_back(std::move(solo));
-                continue;
-            }
-            std::uint8_t tag = ki.tag;
-            std::uint64_t key = ki.maskedKey;
-            auto it = memo_.find(key);
-            if (it != memo_.end() && it->second.tag == tag &&
-                it->second.readMasked) {
-                tag = kFullImage;
-                key = ki.fullKey;
-                it = memo_.find(key);
-            }
-            if (it != memo_.end() && it->second.tag == tag) {
-                const auto at = held.emplace(&it->second, groups.size());
-                if (at.second) {
-                    MemoGroup joined;
-                    joined.entry = &it->second;
-                    groups.push_back(std::move(joined));
-                }
-                groups[at.first->second].members.push_back(k);
-                continue;
-            }
-            const auto at = fresh.emplace(key, groups.size());
-            if (!at.second && groups[at.first->second].tag == tag) {
+    std::unordered_map<std::uint64_t, std::size_t> group_of; // key->group
+    for (std::size_t k = 0; k < n; ++k) {
+        const KeyedImage &ki = keyed[k];
+        if (!ki.out.killed)
+            continue;
+        MemoGroup solo;
+        solo.leader = k;
+        if (ki.memoize) {
+            const auto at = group_of.emplace(ki.maskedKey, groups.size());
+            if (!at.second && groups[at.first->second].tag == ki.tag) {
                 groups[at.first->second].members.push_back(k);
                 continue;
             }
             // A new key (or, on a 64-bit key collision, a lone image).
-            solo.tag = tag;
+            solo.tag = ki.tag;
             solo.memoize = at.second;
-            groups.push_back(std::move(solo));
         }
+        groups.push_back(std::move(solo));
     }
 
     // Rebuild image k on @p bench; true when @p entry's verdict is its
     // verdict.
-    const auto covered = [&](TortureBench &bench, const RecoveryMemo &entry,
+    const auto covered = [&](TortureBench &bench, const MemoEntry &entry,
                              std::size_t k) {
         const soc::PagedImage &base = materialise(g, bench, images[k]);
         return entry.covers(bench.soc->fram().data(), base, bench.dirty,
                             bench.soc->layout());
     };
-    const auto take = [&](const RecoveryMemo &entry, std::size_t k) {
-        memo_hits_.fetch_add(1, std::memory_order_relaxed);
+    const auto take = [&](const MemoEntry &entry, std::size_t k) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
         TortureOutcome &out = keyed[k].out;
         out.finished = entry.finished;
         out.result = entry.result;
         out.resultCorrect = out.finished && out.result == g.prog.expected;
     };
 
-    // Phase 3a (parallel over groups): one recovery per new entry. A
-    // leader whose recovery read a masked byte regrades its group under
-    // full-image keys on the spot. made[gi] holds group gi's new
-    // entries and their keys, [0] the group's own.
-    std::vector<std::vector<std::pair<std::uint64_t, RecoveryMemo>>> made(
-        groups.size());
+    // Phase 3a (parallel over groups): one recovery per leader. A leader
+    // whose recovery read a masked byte regrades its group under
+    // full-image keys on the spot.
     pool.parallelFor(groups.size(), [&](std::size_t gi) {
-        const MemoGroup &grp = groups[gi];
-        if (grp.entry)
-            return;
+        MemoGroup &grp = groups[gi];
         auto bench = acquireBench();
         if (!grp.memoize) {
             materialise(g, *bench, images[grp.leader]);
@@ -921,66 +903,60 @@ TortureRig::gradeImages(const std::vector<DeathImage> &images,
             releaseBench(std::move(bench));
             return;
         }
-        // Recover image k as the leader of a new entry tagged @p tag,
-        // watching the ranges its key masks.
-        const auto lead = [&](std::size_t k, std::uint8_t tag) {
-            RecoveryMemo memo;
-            memo.tag = tag;
+        // Recover image k as the leader of an entry tagged @p tag,
+        // watching the ranges its key masks; true when it read one.
+        const auto lead = [&](std::size_t k, std::uint8_t tag,
+                              MemoEntry &entry) {
+            entry.tag = tag;
             const soc::PagedImage &base = materialise(g, *bench, images[k]);
-            memo.image.captureDirty(bench->soc->fram().data(), base,
-                                    bench->dirty);
+            leader_bytes_.fetch_add(
+                entry.image.captureDirty(bench->soc->fram().data(), base,
+                                         bench->dirty),
+                std::memory_order_relaxed);
             TortureOutcome &out = keyed[k].out;
-            memo.readMasked = recover(
+            const bool read_masked = recover(
                 *bench, images[k],
                 tag == kFullImage ? std::vector<soc::ByteRange>{}
                                   : maskOf(tag, bench->soc->layout()),
                 out);
-            memo.finished = out.finished;
-            memo.result = out.result;
-            return memo;
+            entry.finished = out.finished;
+            entry.result = out.result;
+            return read_masked;
         };
-        const KeyedImage &lk = keyed[grp.leader];
-        auto &mine = made[gi];
-        mine.emplace_back(grp.tag == kFullImage ? lk.fullKey : lk.maskedKey,
-                          lead(grp.leader, grp.tag));
-        if (mine[0].second.readMasked) {
-            // The verdict may depend on masked bytes. The masked entry
-            // keeps no verdict, only the redirection.
+        MemoEntry own;
+        if (!lead(grp.leader, grp.tag, own)) {
+            grp.entry = std::move(own);
+        } else {
+            // The verdict may depend on masked bytes: key the leader and
+            // its members on their whole images.
             fallbacks_.fetch_add(1, std::memory_order_relaxed);
-            RecoveryMemo full = mine[0].second;
-            full.tag = kFullImage;
-            full.readMasked = false;
-            mine[0].second.image = soc::PagedImage();
-            mine.emplace_back(lk.fullKey, std::move(full));
+            own.tag = kFullImage;
+            std::vector<std::pair<std::uint64_t, MemoEntry>> full;
+            full.emplace_back(keyed[grp.leader].fullKey, std::move(own));
             for (const std::size_t k : grp.members) {
                 const auto same = std::find_if(
-                    mine.begin() + 1, mine.end(), [&](const auto &m) {
-                        return m.first == keyed[k].fullKey;
+                    full.begin(), full.end(), [&](const auto &f) {
+                        return f.first == keyed[k].fullKey;
                     });
-                if (same != mine.end() && covered(*bench, same->second, k))
+                if (same != full.end() && covered(*bench, same->second, k)) {
                     take(same->second, k);
-                else
-                    mine.emplace_back(keyed[k].fullKey, lead(k, kFullImage));
+                } else {
+                    full.emplace_back(keyed[k].fullKey, MemoEntry{});
+                    lead(k, kFullImage, full.back().second);
+                }
             }
         }
         releaseBench(std::move(bench));
     });
 
     // Phase 3b (parallel over members): byte-check each remaining
-    // member against its entry; a mismatch (a key collision) recovers
-    // alone.
-    std::vector<std::pair<const RecoveryMemo *, std::size_t>> checks;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const MemoGroup &grp = groups[gi];
-        const RecoveryMemo *entry =
-            grp.entry ? grp.entry
-                      : !made[gi].empty() && !made[gi][0].second.readMasked
-                            ? &made[gi][0].second
-                            : nullptr;
-        if (entry)
+    // member against its leader's entry; a mismatch (a key collision)
+    // recovers alone.
+    std::vector<std::pair<const MemoEntry *, std::size_t>> checks;
+    for (const MemoGroup &grp : groups)
+        if (grp.entry)
             for (const std::size_t k : grp.members)
-                checks.emplace_back(entry, k);
-    }
+                checks.emplace_back(&*grp.entry, k);
     pool.parallelFor(checks.size(), [&](std::size_t c) {
         const auto [entry, k] = checks[c];
         auto bench = acquireBench();
@@ -990,14 +966,6 @@ TortureRig::gradeImages(const std::vector<DeathImage> &images,
             recover(*bench, images[k], {}, keyed[k].out);
         releaseBench(std::move(bench));
     });
-
-    {
-        // emplace keeps the first entry should two calls race a key.
-        std::lock_guard<std::mutex> lock(memo_mu_);
-        for (auto &group_made : made)
-            for (auto &[key, memo] : group_made)
-                memo_.emplace(key, std::move(memo));
-    }
 
     std::vector<TortureOutcome> out(n);
     for (std::size_t k = 0; k < n; ++k)
@@ -1024,7 +992,7 @@ TortureRig::convergeStats() const
     ConvergeStats st;
     st.goldenSnapshots = golden_->snapshots.size();
     st.memoEntries = recoveries_.load(std::memory_order_relaxed);
-    st.memoHits = memo_hits_.load(std::memory_order_relaxed);
+    st.memoHits = hits_.load(std::memory_order_relaxed);
     st.fallbacks = fallbacks_.load(std::memory_order_relaxed);
     return st;
 }
@@ -1032,14 +1000,14 @@ TortureRig::convergeStats() const
 std::size_t
 TortureRig::snapshotMemoryBytes() const
 {
+    // A leader's image shares pages only with the golden image it was
+    // rebuilt from, so its own pages add to the golden images' bytes.
     std::vector<const soc::PagedImage *> images;
-    images.reserve(golden_->snapshots.size() + 16);
+    images.reserve(golden_->snapshots.size());
     for (const GoldenRun::Snapshot &g : golden_->snapshots)
         images.push_back(&g.fram);
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    for (const auto &entry : memo_)
-        images.push_back(&entry.second.image);
-    return soc::distinctPageBytes(images);
+    return soc::distinctPageBytes(images) +
+           leader_bytes_.load(std::memory_order_relaxed);
 }
 
 } // namespace fault

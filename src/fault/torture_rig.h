@@ -28,14 +28,16 @@
  *     (recoveryKeyOf): FRAM with the register staging block and the
  *     slot(s) the boot will not restore masked out, mixed with a tag
  *     of the restored slot and each slot's magic-OK and CRC-OK flags.
- *  2. Group (serial, in id order). Each image joins the memo entry its
- *     key names -- an earlier call's, or a new one whose leader is the
- *     first image with that key.
- *  3. Recover. Each new entry's leader runs one recovery on a pooled
- *     SoC and captures its image (parallel over entries); then every
- *     member is rebuilt and byte-compared on all unmasked bytes with
- *     its entry's image (parallel over members), so a key collision
- *     recovers alone instead of sharing a wrong verdict.
+ *  2. Group (serial, in id order). The first image with a key leads
+ *     its group; every later image with that key is a member.
+ *  3. Recover. Each leader runs one recovery on a pooled SoC and
+ *     captures its image (parallel over groups); then every member is
+ *     rebuilt and byte-compared on all unmasked bytes with its leader's
+ *     image (parallel over members), so a key collision recovers alone
+ *     instead of sharing a wrong verdict.
+ *
+ * The recovery memo lives for one runKills() call: a second call on
+ * the same rig recovers its leaders again.
  *
  * Verdicts are bit-identical to replay-from-boot at any thread count.
  * FS_NO_SNAPSHOT=1 forces the from-boot replay; it is read on every
@@ -54,8 +56,7 @@
  * register and the runtime enables it only once it has restored a slot
  * or cold-started, so that is every read from app re-entry on. A
  * leader whose recovery made one keeps no shared verdict: its group is
- * regraded under full-image keys, and so is any later image with its
- * masked key.
+ * regraded under full-image keys.
  *
  * Recovery contract: a kill's verdict depends only on the FRAM it dies
  * with and on whether the app had finished. powerFail() and powerOn()
@@ -84,25 +85,19 @@
  * from power-on per distinct key, not per image. The watch costs the
  * leaders a bus-path load for each read of a masked range, which the
  * boot makes only for a masked slot with a good magic. No ISS
- * instruction before a kill runs again. A TortureRig owns only
- * per-campaign state: the recovery memo, the SoC pool, and the
- * convergence flag. The voltage monitor every SoC samples is enrolled
- * once per process and shared by all rigs.
+ * instruction before a kill runs again. A TortureRig owns only the SoC
+ * pool and its counters; each call's memo is its own. The voltage
+ * monitor every SoC samples is enrolled once per process and shared by
+ * all rigs.
  *
  * Concurrency contract. A GoldenRun is immutable once built; any
  * number of threads and rigs may read it at once. runKill(),
  * deathFram() and the golden-run accessors are const and safe from any
  * thread. runKills()/runKillsPruned() may be called from several
- * threads at once, on one rig or on rigs sharing a golden run. Phase 1
- * touches only pooled SoCs (the pool is locked). Phase 2 holds the memo
- * lock for its whole pass, so it sees a fixed set of earlier entries.
- * Phase 3 reads those entries without the lock (entries are immutable
- * and never erased, and map nodes do not move); its new entries live
- * in per-group slots until it takes the lock once, at the end, to
- * insert them. When two calls race one key, both recover it and the
- * first insert wins, so only the counts depend on the race. Within
- * one call the counts are exact at any thread count.
- * setConvergenceEnabled() must not race them.
+ * threads at once, on one rig or on rigs sharing a golden run: calls
+ * share only the locked SoC pool and the atomic counters, so a rig's
+ * ConvergeStats is the sum of each call's counts, which are exact at
+ * any thread count.
  */
 
 #ifndef FS_FAULT_TORTURE_RIG_H_
@@ -113,7 +108,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -159,7 +153,8 @@ struct PruneStats {
     std::size_t neverFires = 0;      ///< kill cycle beyond app finish
 };
 
-/** Accounting for the golden-run / convergence machinery. */
+/** Accounting for the golden-run / convergence machinery, summed over
+ *  a rig's runKills() calls. */
 struct ConvergeStats {
     std::size_t goldenSnapshots = 0; ///< golden FRAM images
     std::size_t memoEntries = 0;     ///< recoveries run
@@ -356,12 +351,6 @@ class TortureRig
     std::vector<std::uint32_t>
     killSitePcs(const std::vector<PowerKill> &kills) const;
 
-    /** Toggle convergence (on by default): grouping kills by death
-     *  image and memoizing recoveries. Off still grades from the write
-     *  log, but every kill rebuilds its own image and runs its own
-     *  recovery. */
-    void setConvergenceEnabled(bool on) { converge_on_ = on; }
-
     /** True when runKills() will grade from the golden run:
      *  FS_NO_SNAPSHOT is unset. */
     bool snapshotsActive() const;
@@ -370,9 +359,10 @@ class TortureRig
     ConvergeStats convergeStats() const;
 
     /**
-     * Bytes pinned by golden FRAM images plus memoized death images,
-     * counting pages shared copy-on-write once: the campaign's
-     * snapshot memory high-water mark (both sets only grow).
+     * Bytes of the golden FRAM images plus every image a recovery
+     * leader captured, counting pages shared copy-on-write once. For
+     * one runKills() call that is the campaign's snapshot memory
+     * high-water mark; each further call adds its leaders' pages.
      */
     std::size_t snapshotMemoryBytes() const;
 
@@ -386,29 +376,6 @@ class TortureRig
     }
 
   private:
-    /** Memoized recovery verdict of one death image, the leader of
-     *  every image with its key. */
-    struct RecoveryMemo {
-        soc::PagedImage image; ///< the leader's FRAM; byte-checked on hits
-        /** RecoveryMask::tag, or 0xFF for a key over the whole image. */
-        std::uint8_t tag = 0;
-        /** The leader's recovery read a masked byte: no shared verdict;
-         *  images with this key are keyed on their whole image. */
-        bool readMasked = false;
-        bool finished = false;
-        std::uint32_t result = 0;
-
-        /** This entry's verdict is that of @p fram (which equals
-         *  @p base outside @p dirty): it matches every keyed byte. */
-        bool covers(const std::vector<std::uint8_t> &fram,
-                    const soc::PagedImage &base,
-                    const soc::DirtyPages &dirty,
-                    const soc::CheckpointLayout &layout) const;
-    };
-
-    struct KeyedImage;
-    struct MemoGroup;
-
     std::unique_ptr<TortureBench> acquireBench();
     void releaseBench(std::unique_ptr<TortureBench> bench);
     /** The three grading phases over distinct death images. */
@@ -426,12 +393,11 @@ class TortureRig
 
     std::shared_ptr<const GoldenRun> golden_;
 
-    bool converge_on_ = true;
-    mutable std::mutex memo_mu_;
-    std::unordered_map<std::uint64_t, RecoveryMemo> memo_;
     std::atomic<std::size_t> recoveries_{0};
-    std::atomic<std::size_t> memo_hits_{0};
+    std::atomic<std::size_t> hits_{0};
     std::atomic<std::size_t> fallbacks_{0};
+    /** Bytes of the pages leaders' captures allocated. */
+    std::atomic<std::size_t> leader_bytes_{0};
 
     /** Recycled SoCs. Each one's FRAM is the buffer its death images
      *  are rebuilt in, by delta from the image it last held; under the

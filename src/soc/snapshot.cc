@@ -107,7 +107,7 @@ PagedImage::capture(const std::vector<std::uint8_t> &mem,
     }
 }
 
-void
+std::size_t
 PagedImage::captureDirty(const std::vector<std::uint8_t> &mem,
                          const PagedImage &base, const DirtyPages &dirty)
 {
@@ -115,6 +115,7 @@ PagedImage::captureDirty(const std::vector<std::uint8_t> &mem,
     size_ = base.size_;
     key_ = base.key_;
     pages_ = base.pages_;
+    std::size_t allocated = 0;
     for (const std::uint32_t p : dirty.list()) {
         const std::uint8_t *bytes = mem.data() + p * kPageBytes;
         const auto &old = base.pages_[p];
@@ -122,7 +123,9 @@ PagedImage::captureDirty(const std::vector<std::uint8_t> &mem,
             continue;
         pages_[p] = makePage(bytes, old->size());
         key_ += keyTerm(pages_[p]->hash, p) - keyTerm(old->hash, p);
+        allocated += old->size();
     }
+    return allocated;
 }
 
 void

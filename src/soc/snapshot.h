@@ -99,9 +99,10 @@ class PagedImage
     /**
      * Snapshot @p mem, which equals @p base outside the pages in
      * @p dirty: O(dirty pages). Pages are shared with @p base exactly
-     * where capture(mem, &base) would share them.
+     * where capture(mem, &base) would share them. Returns the bytes of
+     * the pages it allocated.
      */
-    void captureDirty(const std::vector<std::uint8_t> &mem,
+    std::size_t captureDirty(const std::vector<std::uint8_t> &mem,
                       const PagedImage &base, const DirtyPages &dirty);
 
     /** Write the image back into @p mem (sizes must match). */

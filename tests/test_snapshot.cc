@@ -3,8 +3,8 @@
  * Snapshot-fork fault grading tests: PagedImage copy-on-write
  * semantics and incremental keys, translated blocks across power
  * failures, forked torture campaigns against the replay-from-boot
- * reference (with and without convergence memoization, at 1 and 8
- * threads, and on one recycled recovery SoC), the v2 wire format's
+ * reference (at 1 and 8 threads, from concurrent calls, and on one
+ * recycled recovery SoC), the v2 wire format's
  * exhaustive point-range shards and coverage maps, and shard-merge
  * byte-identity through the engine.
  */
@@ -151,8 +151,10 @@ TEST(PagedImage, IncrementalKeyEqualsRecomputedKey)
         // captureDirty shares exactly the pages capture() shares.
         soc::PagedImage full, delta;
         full.capture(mem, &base);
-        delta.captureDirty(mem, base, dirty);
+        const std::size_t allocated = delta.captureDirty(mem, base, dirty);
         EXPECT_EQ(delta.key(), fresh.key());
+        EXPECT_EQ(allocated, soc::distinctPageBytes({&base, &delta}) -
+                                 soc::distinctPageBytes({&base}));
         EXPECT_EQ(full.key(), fresh.key());
         ASSERT_EQ(delta.pages().size(), full.pages().size());
         for (std::size_t p = 0; p < kPages; ++p) {
@@ -378,39 +380,28 @@ TEST_F(SnapshotFork, ForkedVerdictsMatchFromBootAtOneAndEightThreads)
     const std::vector<fault::PowerKill> batch = kills();
     const std::vector<fault::TortureOutcome> &ref = reference();
 
+    // Both calls share the rig (and its recycled SoCs) but not a memo:
+    // each recovers its own leaders and counts its own hits.
+    std::vector<fault::ConvergeStats> stats{rig().convergeStats()};
     util::ThreadPool one(1);
-    const auto forked1 = rig().runKills(batch, &one);
-    ASSERT_EQ(forked1.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        expectSameOutcome(ref[i], forked1[i], i);
-
     util::ThreadPool eight(8);
-    const auto forked8 = rig().runKills(batch, &eight);
-    ASSERT_EQ(forked8.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        expectSameOutcome(ref[i], forked8[i], i);
+    for (util::ThreadPool *pool : {&one, &eight}) {
+        const auto forked = rig().runKills(batch, pool);
+        ASSERT_EQ(forked.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            expectSameOutcome(ref[i], forked[i], i);
+        stats.push_back(rig().convergeStats());
+    }
 
-    const fault::ConvergeStats stats = rig().convergeStats();
-    EXPECT_GT(stats.goldenSnapshots, 1u);
-    EXPECT_GT(stats.memoEntries, 0u);
-    EXPECT_GT(stats.memoHits, 0u)
-        << "the second campaign should replay recoveries from the memo";
+    EXPECT_GT(stats[2].goldenSnapshots, 1u);
+    const std::size_t entries1 = stats[1].memoEntries - stats[0].memoEntries;
+    const std::size_t hits1 = stats[1].memoHits - stats[0].memoHits;
+    EXPECT_GT(entries1, 0u);
+    EXPECT_GT(hits1, 0u) << "kills sharing a key should share a recovery";
+    EXPECT_EQ(stats[2].memoEntries - stats[1].memoEntries, entries1)
+        << "the second call should recover as many leaders as the first";
+    EXPECT_EQ(stats[2].memoHits - stats[1].memoHits, hits1);
     EXPECT_GT(rig().snapshotMemoryBytes(), 0u);
-}
-
-TEST_F(SnapshotFork, ConvergenceOffStillMatchesTheReference)
-{
-    const std::vector<fault::PowerKill> batch = kills();
-    const std::vector<fault::TortureOutcome> &ref = reference();
-
-    rig().setConvergenceEnabled(false);
-    util::ThreadPool pool(4);
-    const auto forked = rig().runKills(batch, &pool);
-    rig().setConvergenceEnabled(true);
-
-    ASSERT_EQ(forked.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        expectSameOutcome(ref[i], forked[i], i);
 }
 
 TEST_F(SnapshotFork, NoSnapshotEnvForcesTheLegacyPathWithSameVerdicts)
@@ -429,19 +420,24 @@ TEST_F(SnapshotFork, NoSnapshotEnvForcesTheLegacyPathWithSameVerdicts)
 
 TEST_F(SnapshotFork, RigsSharingOneGoldenRunGradeConcurrently)
 {
-    // Three campaigns over one immutable golden run, each from its own
-    // thread and pool: two share rig `a` (its memo and benches), the
-    // third runs on rig `b`.
+    // Three callers over one immutable golden run, each from its own
+    // thread and pool: two share rig `a` (its benches and counters) and
+    // grade the batch twice each, the third grades it once on rig `b`.
     const std::vector<fault::PowerKill> batch = kills();
     const std::vector<fault::TortureOutcome> &ref = reference();
     fault::TortureRig a(rig().golden());
     fault::TortureRig b(rig().golden());
-    std::vector<std::vector<fault::TortureOutcome>> outs(3);
+    std::vector<std::vector<fault::TortureOutcome>> outs(5);
     std::vector<std::thread> callers;
-    for (std::size_t t = 0; t < outs.size(); ++t)
+    for (std::size_t t = 0; t < 3; ++t)
         callers.emplace_back([&, t] {
             util::ThreadPool pool(2);
-            outs[t] = (t < 2 ? a : b).runKills(batch, &pool);
+            if (t == 2) {
+                outs[4] = b.runKills(batch, &pool);
+                return;
+            }
+            for (std::size_t c = 0; c < 2; ++c)
+                outs[2 * t + c] = a.runKills(batch, &pool);
         });
     for (std::thread &caller : callers)
         caller.join();
@@ -450,8 +446,15 @@ TEST_F(SnapshotFork, RigsSharingOneGoldenRunGradeConcurrently)
         for (std::size_t i = 0; i < ref.size(); ++i)
             expectSameOutcome(ref[i], out[i], i);
     }
-    EXPECT_EQ(a.convergeStats().goldenSnapshots,
-              rig().convergeStats().goldenSnapshots);
+    const fault::ConvergeStats sa = a.convergeStats();
+    const fault::ConvergeStats sb = b.convergeStats();
+    EXPECT_EQ(sa.goldenSnapshots, rig().convergeStats().goldenSnapshots);
+    // Every call grades on its own, so `a`'s four calls, two at a time,
+    // count exactly four times `b`'s one.
+    EXPECT_GT(sb.memoEntries, 0u);
+    EXPECT_EQ(sa.memoEntries, 4 * sb.memoEntries);
+    EXPECT_EQ(sa.memoHits, 4 * sb.memoHits);
+    EXPECT_EQ(sa.fallbacks, 4 * sb.fallbacks);
 }
 
 TEST_F(SnapshotFork, BootAndCommitWindowImagesGradeFromTheWriteLog)
@@ -516,16 +519,12 @@ TEST_F(SnapshotFork, EveryWritingStepTearsLikeTheBootReplay)
         tore += out.killTore ? 1 : 0;
     EXPECT_GT(tore, batch.size() / 2);
 
-    for (const bool converge : {true, false}) {
-        rig().setConvergenceEnabled(converge);
-        for (util::ThreadPool *pool : {&one, &eight}) {
-            const auto graded = rig().runKills(batch, pool);
-            ASSERT_EQ(graded.size(), ref.size());
-            for (std::size_t i = 0; i < ref.size(); ++i)
-                expectSameOutcome(ref[i], graded[i], i);
-        }
+    for (util::ThreadPool *pool : {&one, &eight}) {
+        const auto graded = rig().runKills(batch, pool);
+        ASSERT_EQ(graded.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            expectSameOutcome(ref[i], graded[i], i);
     }
-    rig().setConvergenceEnabled(true);
 }
 
 TEST_F(SnapshotFork, TornCommitMagicDecidesWhichCheckpointSurvives)
@@ -950,24 +949,22 @@ TEST(RecycledRecovery, StoreIntoCachedCodeBetweenRecoveriesForcesRedecode)
         const std::uint64_t patch_cycle =
             g.probeSteps[patch->step].cycleAfter;
 
-        // Kills spread over the run up to the patch. Each recovery
-        // reboots with the unpatched code, runs into the patch, and
-        // leaves the code page patched (and, on the DBT tier, the
-        // patched loop translated) on the one recycled SoC; the next
+        // Kills spread over the run up to the patch, one per call on
+        // one thread, so each recovers in input order on the rig's one
+        // recycled SoC. Each recovery reboots with the unpatched code,
+        // runs into the patch, and leaves the code page patched (and,
+        // on the DBT tier, the patched loop translated); the next
         // image rebuild must copy the page back and the reboot must
         // drop the blocks.
-        std::vector<fault::PowerKill> batch;
-        for (std::uint64_t i = 1; i <= 6; ++i)
-            batch.push_back(fault::PowerKill{patch_cycle * i / 7, 0, 0});
-        rig.setConvergenceEnabled(false);
         util::ThreadPool one(1);
-        const auto graded = rig.runKills(batch, &one);
-        ASSERT_EQ(graded.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const fault::TortureOutcome ref = rig.runKill(batch[i]);
+        for (std::uint64_t i = 1; i <= 6; ++i) {
+            const fault::PowerKill kill{patch_cycle * i / 7, 0, 0};
+            const auto graded = rig.runKills({kill}, &one);
+            ASSERT_EQ(graded.size(), 1u);
+            const fault::TortureOutcome ref = rig.runKill(kill);
             EXPECT_TRUE(ref.killed) << "kill " << i;
             EXPECT_TRUE(ref.resultCorrect) << "kill " << i;
-            expectSameOutcome(ref, graded[i], i);
+            expectSameOutcome(ref, graded[0], i);
         }
     }
 }
@@ -987,8 +984,8 @@ TEST(RecycledRecovery, FinishedRecoveryDoesNotLeakIntoTheNext)
         rig.commitWindow(rig.checkpointCount() - 1).end;
     const std::uint64_t clean = rig.cleanRunCycles();
 
-    // Every finishing kill is followed by non-finishing ones. With
-    // convergence off and one thread, kills recover in input order on
+    // Every finishing kill is followed by non-finishing ones. One kill
+    // per call on one thread recovers them in input order on the rig's
     // one recycled SoC.
     std::vector<fault::PowerKill> batch;
     for (std::uint64_t i = 1; i <= 4; ++i) {
@@ -1007,12 +1004,12 @@ TEST(RecycledRecovery, FinishedRecoveryDoesNotLeakIntoTheNext)
     for (std::size_t i = 0; i < batch.size(); i += 3)
         ASSERT_TRUE(ref[i].finished) << "kill " << i;
 
-    rig.setConvergenceEnabled(false);
     util::ThreadPool one(1);
-    const auto graded = rig.runKills(batch, &one);
-    ASSERT_EQ(graded.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        expectSameOutcome(ref[i], graded[i], i);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const auto graded = rig.runKills({batch[i]}, &one);
+        ASSERT_EQ(graded.size(), 1u);
+        expectSameOutcome(ref[i], graded[0], i);
+    }
 }
 
 // ---------------------------------------------------------------------
