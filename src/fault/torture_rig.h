@@ -5,7 +5,7 @@
  * The rig runs one guest workload on a full soc::Soc under a fixed,
  * deterministic power schedule (stable phase, brown-out phase, power
  * cycle, repeat), so every run visits the same cycle-for-cycle
- * trajectory. An instrumented fault-free pass maps out each
+ * trajectory. A single-stepped fault-free pass maps out each
  * checkpoint's commit window (trap entry to commit-magic store);
  * runKill() then replays the schedule with a single injected supply
  * kill at an arbitrary cycle, inspects the checkpoint slots the
@@ -19,8 +19,12 @@
  * last FRAM store (Soc::step). The golden pass logs every FRAM store
  * (GoldenRun::writeLog), so each kill maps to an exact death-image id
  * -- the count of golden stores that landed, plus the torn byte lanes
- * for a kill that tears. Kills are grouped by id, and the distinct
- * death images are graded in three phases:
+ * for a kill that tears. One forward walk over the probe steps, in
+ * kill-cycle order, finds every kill's step (GoldenRun::killSteps);
+ * kills that ascend in cycle then have ascending ids, so only batches
+ * with never-firing kills, out-of-order cycles or two different tears
+ * of one storing step sort them. Kills are grouped by id, and the
+ * distinct death images are graded in three phases:
  *
  *  1. Key (parallel). Each image is rebuilt in a pooled SoC's FRAM
  *     from the nearest golden FRAM image plus the logged stores plus
@@ -72,13 +76,14 @@
  * because powerOn()'s Hart::reset flushes every translation.
  *
  * Cost model. Everything that depends only on (program, config) lives
- * in a GoldenRun: the instrumented pass that finds the commit windows
- * and the single-stepped golden pass that records the probe steps and
- * the FRAM write log and captures the golden FRAM images (boot and
- * every commit-window boundary). It is built once and shared by every
- * rig of a campaign (serve::Engine keeps the latest one for exhaustive
- * point-range shards). A campaign then costs one binary search over
- * the probe steps per kill, plus per distinct death image two or three
+ * in a GoldenRun: one single-stepped golden pass finds the commit
+ * windows, records the probe steps and the FRAM write log and captures
+ * the golden FRAM images (boot and every commit-window boundary). It
+ * is built once and shared by every rig of a campaign (serve::Engine
+ * keeps the latest one for exhaustive point-range shards). A campaign
+ * then costs one forward walk over the probe steps (a galloping search
+ * from the previous kill's step; kills out of cycle order are sorted
+ * first), plus per distinct death image two or three
  * rebuilds (O(FRAM pages) pointer compares, O(dirty pages) copies and
  * the logged stores since the nearest golden image), slot forensics
  * and a key over the dirty and masked pages -- and one recovery run
@@ -226,9 +231,10 @@ struct GoldenRun {
     };
 
     /**
-     * Run the instrumented pass and the golden pass, capturing the FRAM
-     * images at boot and at every commit-window boundary. Returns null
-     * and sets @p error when the schedule cannot anchor a campaign.
+     * Run the golden pass, finding the commit windows and capturing the
+     * FRAM images at boot and at every commit-window boundary. Returns
+     * null and sets @p error when the schedule cannot anchor a
+     * campaign.
      */
     static std::shared_ptr<const GoldenRun>
     build(soc::GuestProgram prog, TortureConfig config,
@@ -246,9 +252,26 @@ struct GoldenRun {
 
     /**
      * Index of the probe step a kill at @p kill_cycle fires at the end
-     * of, or probeSteps.size() when the schedule finishes first.
+     * of, or probeSteps.size() when the schedule finishes first: a
+     * binary search over every probe step. For many kills use
+     * killSteps() or stepAtFrom().
      */
     std::size_t stepAt(std::uint64_t kill_cycle) const;
+
+    /**
+     * stepAt(@p kill_cycle), found by a galloping search forward from
+     * step @p from, which must not be past it (the step of an earlier
+     * kill cycle, or 0). Costs O(log distance).
+     */
+    std::size_t stepAtFrom(std::size_t from, std::uint64_t kill_cycle) const;
+
+    /**
+     * stepAt() of every kill, in input order, from one forward walk in
+     * cycle order. Kills already ascending in cycle (an exhaustive
+     * shard) are not sorted.
+     */
+    std::vector<std::size_t>
+    killSteps(const std::vector<PowerKill> &kills) const;
 
     /** True when probe step @p step stored to FRAM: the only steps a
      *  kill can tear. */

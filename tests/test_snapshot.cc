@@ -755,6 +755,114 @@ TEST_F(SnapshotFork, RecoveriesRunOncePerKeyAtOneAndEightThreads)
 }
 
 /**
+ * Points [@p offset, @p offset + @p count) of an exhaustive campaign of
+ * @p points kills, as serve::Engine derives them: ascending in cycle,
+ * with each tear drawn from (seed, point).
+ */
+std::vector<fault::PowerKill>
+exhaustiveShard(const fault::GoldenRun &g, std::uint64_t points,
+                std::uint64_t offset, std::uint64_t count,
+                std::uint64_t seed)
+{
+    std::vector<fault::PowerKill> out;
+    for (std::uint64_t i = offset; i < offset + count; ++i) {
+        Rng rng = util::rngForIndex(seed, i);
+        fault::PowerKill kill;
+        kill.cycle = i * g.cleanCycles / points;
+        kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
+        kill.tearFlipMask = std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
+        out.push_back(kill);
+    }
+    return out;
+}
+
+TEST_F(SnapshotFork, KillStepWalkEqualsBinarySearch)
+{
+    const fault::GoldenRun &g = *rig().golden();
+    const std::size_t n = g.probeSteps.size();
+    // An exhaustive shard, denser than one kill per step, then every
+    // cycle of one commit window and the cycles around the run's end.
+    std::vector<fault::PowerKill> shard =
+        exhaustiveShard(g, 3 * n, n / 2, n / 4, 1);
+    const fault::CommitWindow w = rig().commitWindow(0);
+    for (std::uint64_t c = w.begin - 3; c <= w.end + 3; ++c)
+        shard.push_back(fault::PowerKill{c, 0, 0});
+    for (std::uint64_t c = g.cleanCycles - 3; c <= g.cleanCycles + 3; ++c)
+        shard.push_back(fault::PowerKill{c, 0, 0});
+
+    // A sampled batch: random cycles (some past the end), repeated
+    // ones, shuffled.
+    std::vector<fault::PowerKill> sampled;
+    Rng rng(0x5EED);
+    for (int i = 0; i < 4000; ++i)
+        sampled.push_back(fault::PowerKill{
+            std::uint64_t(rng.uniformInt(
+                0, std::int64_t(g.cleanCycles + g.cleanCycles / 50))),
+            0, 0});
+    sampled.insert(sampled.end(), sampled.begin(), sampled.begin() + 100);
+    rng.shuffle(sampled);
+
+    for (const auto *batch : {&shard, &sampled}) {
+        const std::vector<std::size_t> steps = g.killSteps(*batch);
+        ASSERT_EQ(steps.size(), batch->size());
+        for (std::size_t i = 0; i < batch->size(); ++i)
+            ASSERT_EQ(steps[i], g.stepAt((*batch)[i].cycle))
+                << "kill " << i << " at cycle " << (*batch)[i].cycle;
+    }
+
+    // The gallop from any step at or before the answer finds it.
+    for (std::size_t i = 0; i < sampled.size(); i += 37) {
+        const std::uint64_t c = sampled[i].cycle;
+        const std::size_t at = g.stepAt(c);
+        for (std::size_t back : {0, 1, 2, 3, 5, 8, 100, 4097}) {
+            if (back > at)
+                continue;
+            ASSERT_EQ(g.stepAtFrom(at - back, c), at)
+                << "cycle " << c << " from " << at - back;
+        }
+    }
+}
+
+TEST_F(SnapshotFork, ShuffledShardGradesLikeTheAscendingShard)
+{
+    const fault::GoldenRun &g = *rig().golden();
+    // A shard whose kills ascend in cycle, a few of them past the end.
+    std::vector<fault::PowerKill> ascending =
+        exhaustiveShard(g, 2000, 0, 2000, 7);
+    for (std::uint64_t c = g.cleanCycles - 2; c <= g.cleanCycles + 2; ++c)
+        ascending.push_back(fault::PowerKill{c, 1, 0x00FF00FFu});
+    std::vector<std::size_t> perm(ascending.size());
+    for (std::size_t i = 0; i < perm.size(); ++i)
+        perm[i] = i;
+    Rng rng(31);
+    rng.shuffle(perm);
+    std::vector<fault::PowerKill> shuffled;
+    for (const std::size_t i : perm)
+        shuffled.push_back(ascending[i]);
+
+    util::ThreadPool pool(4);
+    fault::TortureRig a(rig().golden());
+    fault::TortureRig b(rig().golden());
+    fault::PruneStats pa, pb;
+    const auto asc = a.runKills(ascending, &pool, &pa);
+    const auto shuf = b.runKills(shuffled, &pool, &pb);
+    ASSERT_EQ(shuf.size(), asc.size());
+    for (std::size_t j = 0; j < perm.size(); ++j)
+        expectSameOutcome(asc[perm[j]], shuf[j], j);
+
+    EXPECT_EQ(pa.executedKills, pb.executedKills);
+    EXPECT_EQ(pa.vulnerableKills, pb.vulnerableKills);
+    EXPECT_EQ(pa.neverFires, pb.neverFires);
+    EXPECT_GT(pa.neverFires, 0u);
+    const fault::ConvergeStats sa = a.convergeStats();
+    const fault::ConvergeStats sb = b.convergeStats();
+    EXPECT_GT(sa.memoHits, 0u);
+    EXPECT_EQ(sa.memoEntries, sb.memoEntries);
+    EXPECT_EQ(sa.memoHits, sb.memoHits);
+    EXPECT_EQ(sa.fallbacks, sb.fallbacks);
+}
+
+/**
  * makeCrc32Program(2048, 11), except that it XORs both checkpoint
  * slots' magic words into the CRC before storing it. The fault-free
  * run finishes with both slots committed, so the words cancel; a

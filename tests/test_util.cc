@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/env.h"
@@ -100,6 +103,69 @@ TEST(Rng, IndexOfEmptyIsZero)
 {
     Rng rng;
     EXPECT_EQ(rng.index(0), 0u);
+}
+
+TEST(Rng, LazyEngineMatchesStdMt19937_64)
+{
+    // Small, extreme and mixSeed-derived seeds; 1,000 outputs cross the
+    // word-at-a-time draws, the bulk finish and three later twists.
+    std::vector<std::uint64_t> seeds{~std::uint64_t(0), 0xf5f5f5f5ULL,
+                                     5489};
+    for (std::uint64_t s = 0; s < 500; ++s)
+        seeds.push_back(s);
+    for (std::uint64_t i = 0; i < 500; ++i)
+        seeds.push_back(util::mixSeed(0xF5C0FFEE, i));
+    for (const std::uint64_t seed : seeds) {
+        Mt19937_64 lazy(seed);
+        std::mt19937_64 ref(seed);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(lazy(), ref()) << "seed " << seed << " output " << i;
+    }
+}
+
+TEST(Rng, EveryDrawKindFollowsStdMt19937_64)
+{
+    // Rng's draws are std's distributions over the engine, so each
+    // kind must match the same distribution over std::mt19937_64.
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const std::uint64_t seed = util::mixSeed(7919, i);
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::vector<int> mine(40), theirs(40);
+        for (std::size_t k = 0; k < mine.size(); ++k)
+            mine[k] = theirs[k] = int(k);
+        for (int d = 0; d < 300; ++d) {
+            switch ((d + i) % 6) {
+              case 0:
+                ASSERT_EQ(rng.uniform(-2.0, 3.0),
+                          std::uniform_real_distribution<double>(-2.0,
+                                                                 3.0)(ref));
+                break;
+              case 1:
+                ASSERT_EQ(rng.uniformInt(0, 0xffffffffLL),
+                          std::uniform_int_distribution<std::int64_t>(
+                              0, 0xffffffffLL)(ref));
+                break;
+              case 2:
+                ASSERT_EQ(rng.gaussian(1.0, 0.5),
+                          std::normal_distribution<double>(1.0, 0.5)(ref));
+                break;
+              case 3:
+                ASSERT_EQ(rng.bernoulli(0.3),
+                          std::bernoulli_distribution(0.3)(ref));
+                break;
+              case 4:
+                ASSERT_EQ(rng.index(17),
+                          std::size_t(std::uniform_int_distribution<
+                                      std::int64_t>(0, 16)(ref)));
+                break;
+              default:
+                rng.shuffle(mine);
+                std::shuffle(theirs.begin(), theirs.end(), ref);
+                ASSERT_EQ(mine, theirs);
+            }
+        }
+    }
 }
 
 TEST(RunningStats, MatchesDirectComputation)
