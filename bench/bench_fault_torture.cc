@@ -7,11 +7,11 @@
  * matter when power dies; this campaign measures exactly that, and
  * emits a machine-readable JSON summary whose seed replays the run.
  *
- * The same kill list runs on the interpreter and the DBT tier with
- * replay-from-boot (FS_NO_SNAPSHOT pinned -- the historical "campaign"
- * and "campaign_dbt" phases), then through the default runKills()
- * path, which grades each distinct death image from the golden write
- * log with the recovery memo ("fork+converge"). That path takes a few
+ * The same kill list replays from boot (TortureRig::runKill) on the
+ * interpreter and on the DBT tier (the historical "campaign" and
+ * "campaign_dbt" phases), then goes through runKills(), which grades
+ * each distinct death image from the golden write log with the
+ * recovery memo ("fork+converge"). That path takes a few
  * milliseconds a call, so it repeats on one rig for at least half a
  * second; every call must byte-match the from-boot summary. The
  * [perf] lines print kills/sec against the from-boot DBT baseline
@@ -34,7 +34,6 @@
 #include "soc/guest_programs.h"
 #include "util/env.h"
 #include "util/parallel.h"
-#include "util/random.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -142,74 +141,53 @@ main(int argc, char **argv)
                 (unsigned long long)rig.cleanRunCycles(),
                 rig.checkpointCount(), rig.checkpointVolts());
 
-    Rng rng(seed);
     Tally window_tally;
     TablePrinter table;
     table.columns({"commit window", "cycles", "kills", "cold starts",
                    "slot fallbacks", "torn restores", "correct"});
 
     // All kill parameters are drawn sequentially from the campaign
-    // generator in the exact order the sequential campaign used, then
-    // the batch fans out across the shared pool (FS_THREADS) and the
-    // outcomes are tallied back in draw order -- so the table and JSON
-    // below are bit-identical at any thread count.
-    std::vector<PowerKill> kills;
-    std::vector<std::size_t> first_kill_of_window;
-
-    // Phase 1: dense sweep across every commit window (the hardest
-    // instants: power death racing the checkpoint commit itself).
+    // generator (GoldenRun::sampledKills), then the batch fans out
+    // across the shared pool (FS_THREADS) and the outcomes are tallied
+    // back in draw order -- so the table and JSON below are
+    // bit-identical at any thread count. Phase 1 is a dense sweep
+    // across every commit window (the hardest instants: power death
+    // racing the checkpoint commit itself); phase 2 is seeded random
+    // kills over the whole execution, large enough that the snapshot
+    // campaigns below amortize their golden pass, as a real exhaustive
+    // campaign would.
+    constexpr std::uint32_t kRandomKills = 2000;
+    const std::vector<PowerKill> kills =
+        rig.golden()->sampledKills(100, kRandomKills, seed);
     const std::size_t windows = rig.checkpointCount();
-    for (std::size_t w = 0; w < windows; ++w) {
-        const CommitWindow window = rig.commitWindow(w);
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, window.length() / 100);
-        first_kill_of_window.push_back(kills.size());
-        for (std::uint64_t c = window.begin; c < window.end;
-             c += stride) {
-            PowerKill kill;
-            kill.cycle = c;
-            kill.tearBytesKept = unsigned(rng.uniformInt(0, 3));
-            kill.tearFlipMask =
-                std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
-            kills.push_back(kill);
-        }
-    }
-    first_kill_of_window.push_back(kills.size());
-
-    // Phase 2: seeded random kills over the whole execution, torn
-    // bytes and flip masks drawn from the same generator. Large
-    // enough that the snapshot campaigns below amortize their golden
-    // instrumentation pass, as a real exhaustive campaign would.
-    const std::size_t random_begin = kills.size();
-    const std::uint64_t span = rig.cleanRunCycles();
-    for (int i = 0; i < 2000; ++i) {
-        PowerKill kill;
-        kill.cycle =
-            std::uint64_t(rng.uniformInt(0, std::int64_t(span) - 1));
-        kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
-        kill.tearFlipMask =
-            std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
-        kills.push_back(kill);
-    }
+    const std::size_t random_begin = kills.size() - kRandomKills;
+    // Window kills ascend in cycle, window after window.
+    std::vector<std::size_t> first_kill_of_window;
+    for (std::size_t w = 0; w < windows; ++w)
+        first_kill_of_window.push_back(std::size_t(
+            std::lower_bound(kills.begin(), kills.begin() + random_begin,
+                             rig.commitWindow(w).begin,
+                             [](const PowerKill &k, std::uint64_t c) {
+                                 return k.cycle < c;
+                             }) -
+            kills.begin()));
+    first_kill_of_window.push_back(random_begin);
 
     util::ThreadPool &pool = util::ThreadPool::shared();
-
-    // Campaigns 1 and 2 are the replay-from-boot baselines: pin
-    // FS_NO_SNAPSHOT so the snapshot phases below have an honest
-    // reference, respecting an externally forced value (CI's
-    // determinism legs set it themselves).
-    const bool snapshot_forced_off = util::envFlag("FS_NO_SNAPSHOT");
-    setenv("FS_NO_SNAPSHOT", "1", 1);
+    const auto from_boot = [&](const TortureRig &r) {
+        return pool.parallelMap(kills.size(), [&](std::size_t i) {
+            return r.runKill(kills[i]);
+        });
+    };
 
     // Campaign 1: interpreter only. The kill switch must stay set for
     // the replays (every replay builds a fresh hart that reads the
-    // environment at construction); respect an externally forced-off
-    // fast path so CI's FS_NO_TRACE_CACHE leg measures what it says.
+    // environment at construction); an externally forced-off fast
+    // path stays off for the DBT campaign too.
     const bool fast_forced_off = util::envFlag("FS_NO_TRACE_CACHE");
     setenv("FS_NO_TRACE_CACHE", "1", 1);
     util::Timer timer;
-    const std::vector<TortureOutcome> outcomes =
-        rig.runKills(kills, &pool);
+    const std::vector<TortureOutcome> outcomes = from_boot(rig);
     const double elapsed = timer.seconds();
 
     for (std::size_t w = 0; w < windows; ++w) {
@@ -240,8 +218,7 @@ main(int argc, char **argv)
         unsetenv("FS_NO_TRACE_CACHE");
     TortureRig rig_dbt(soc::makeCrc32Program(4096, 11), config);
     util::Timer timer_dbt;
-    const std::vector<TortureOutcome> outcomes_dbt =
-        rig_dbt.runKills(kills, &pool);
+    const std::vector<TortureOutcome> outcomes_dbt = from_boot(rig_dbt);
     const double elapsed_dbt = timer_dbt.seconds();
 
     Tally dbt_window, dbt_random;
@@ -258,8 +235,6 @@ main(int argc, char **argv)
     // (each call grades from a cold memo) until the calls add up to
     // half a second, so its median call is a stable figure. Every call
     // must reproduce the from-boot summary byte for byte.
-    if (!snapshot_forced_off)
-        unsetenv("FS_NO_SNAPSHOT");
     TortureRig rig_conv(soc::makeCrc32Program(4096, 11), config);
     std::vector<double> call_seconds;
     double total_conv = 0.0;
@@ -320,15 +295,10 @@ main(int argc, char **argv)
                       conv_match);
     // The headline claim: grading from the golden write log with the
     // recovery memo must beat replaying every kill from boot by at
-    // least 10x. Skipped when the caller pinned FS_NO_SNAPSHOT (the
-    // campaigns then measure from-boot twice).
-    bool floor_ok = true;
-    if (!snapshot_forced_off && rig_conv.snapshotsActive()) {
-        floor_ok = elapsed_dbt / elapsed_conv >= 10.0;
-        bench::shapeCheck("fork+converge is >= 10x the from-boot DBT "
-                          "rate",
-                          floor_ok);
-    }
+    // least 10x.
+    const bool floor_ok = elapsed_dbt / elapsed_conv >= 10.0;
+    bench::shapeCheck("fork+converge is >= 10x the from-boot DBT rate",
+                      floor_ok);
     return (w.incorrect + r.incorrect == 0 &&
             w.tornRestores + r.tornRestores == 0 && json == json_dbt &&
             conv_match && floor_ok)

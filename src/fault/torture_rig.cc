@@ -1,7 +1,6 @@
 #include "fault/torture_rig.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <optional>
@@ -16,9 +15,9 @@
 #include "harvest/system_comparison.h"
 #include "riscv/encoding.h"
 #include "soc/soc.h"
-#include "util/env.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/random.h"
 
 namespace fs {
 namespace fault {
@@ -388,12 +387,6 @@ TortureRig::commitWindow(std::size_t which) const
     return golden_->windows[which];
 }
 
-bool
-TortureRig::snapshotsActive() const
-{
-    return !util::envFlag("FS_NO_SNAPSHOT");
-}
-
 TortureOutcome
 TortureRig::runKill(const PowerKill &kill) const
 {
@@ -422,6 +415,9 @@ TortureRig::runKill(const PowerKill &kill) const
         sys.powerOn();
     }
 
+    const std::size_t step = g.stepAt(kill.cycle);
+    if (step < g.probeSteps.size())
+        out.site = g.probeSteps[step].pcBefore;
     out.killed = sys.faultKilled();
     out.killTore = injector.log().killTears > 0;
     inspectSlots(std::as_const(sys).fram().data(), sys.layout(), out);
@@ -490,6 +486,81 @@ GoldenRun::killSteps(const std::vector<PowerKill> &kills) const
     for (const std::size_t i : order)
         steps[i] = step = stepAtFrom(step, kills[i].cycle);
     return steps;
+}
+
+std::vector<PowerKill>
+GoldenRun::sampledKills(std::uint32_t killsPerWindow,
+                        std::uint32_t randomKills, std::uint64_t seed) const
+{
+    Rng rng(seed);
+    std::vector<PowerKill> kills;
+    if (killsPerWindow > 0) {
+        for (const CommitWindow &window : windows) {
+            const std::uint64_t stride = std::max<std::uint64_t>(
+                1, window.length() / killsPerWindow);
+            for (std::uint64_t c = window.begin; c < window.end;
+                 c += stride) {
+                PowerKill kill;
+                kill.cycle = c;
+                kill.tearBytesKept = unsigned(rng.uniformInt(0, 3));
+                kill.tearFlipMask =
+                    std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
+                kills.push_back(kill);
+            }
+        }
+    }
+    for (std::uint32_t i = 0; i < randomKills; ++i) {
+        PowerKill kill;
+        kill.cycle =
+            std::uint64_t(rng.uniformInt(0, std::int64_t(cleanCycles) - 1));
+        kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
+        kill.tearFlipMask = std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
+        kills.push_back(kill);
+    }
+    return kills;
+}
+
+std::vector<PowerKill>
+GoldenRun::pointKills(std::uint64_t seed, std::uint64_t points,
+                      std::uint64_t offset, std::uint64_t count) const
+{
+    FS_ASSERT(offset + count <= points, "point range beyond the campaign");
+    std::vector<PowerKill> kills(count);
+    for (std::size_t k = 0; k < kills.size(); ++k)
+        kills[k].cycle = (offset + k) * cleanCycles / points;
+    if (kills.empty())
+        return kills;
+
+    // The first point whose kill cycle is at least `cycle`.
+    const auto first_point = [&](std::uint64_t cycle) {
+        return (cycle * points + cleanCycles - 1) / cleanCycles;
+    };
+    // Only a kill on a storing step can tear, so tears are drawn per
+    // storing step s of the shard: its points are those whose cycle is
+    // in (cycleAfter[s-1], cycleAfter[s]].
+    const std::uint64_t end = offset + count;
+    const std::size_t first = stepAt(kills.front().cycle);
+    const std::size_t last = stepAt(kills.back().cycle);
+    std::uint32_t j = first == 0 ? 0 : probeSteps[first - 1].writeEnd;
+    const std::uint32_t j_end = last == probeSteps.size()
+                                    ? std::uint32_t(writeLog.size())
+                                    : probeSteps[last].writeEnd;
+    while (j < j_end) {
+        const std::size_t s = writeLog[j].step;
+        j = probeSteps[s].writeEnd;
+        const std::uint64_t lo =
+            s == 0 ? 0 : first_point(probeSteps[s - 1].cycleAfter + 1);
+        const std::uint64_t hi = first_point(probeSteps[s].cycleAfter + 1);
+        for (std::uint64_t i = std::max(offset, lo); i < std::min(end, hi);
+             ++i) {
+            Rng rng = util::rngForIndex(seed, i);
+            PowerKill &kill = kills[std::size_t(i - offset)];
+            kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
+            kill.tearFlipMask =
+                std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
+        }
+    }
+    return kills;
 }
 
 /**
@@ -716,11 +787,10 @@ TortureRig::runKills(const std::vector<PowerKill> &kills,
         group[i] = images.size() - 1;
     }
 
-    const bool from_log = snapshotsActive();
     if (stats) {
         PruneStats st;
         st.totalKills = n;
-        st.executedKills = from_log ? images.size() : n;
+        st.executedKills = images.size();
         st.skippedKills = n - st.executedKills;
         for (const DeathImage &d : deaths) {
             st.vulnerableKills += d.wrote ? 1 : 0;
@@ -728,15 +798,16 @@ TortureRig::runKills(const std::vector<PowerKill> &kills,
         }
         *stats = st;
     }
-    if (!from_log)
-        return p.parallelMap(n, [&](std::size_t i) {
-            return runKill(kills[i]);
-        });
 
     const std::vector<TortureOutcome> graded = gradeImages(images, p);
     std::vector<TortureOutcome> out(n);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
         out[i] = graded[group[i]];
+        // Kills sharing an image may land on different untorn steps.
+        out[i].site = steps[i] < g.probeSteps.size()
+                          ? g.probeSteps[steps[i]].pcBefore
+                          : kNoKillSite;
+    }
     return out;
 }
 
@@ -985,18 +1056,6 @@ TortureRig::gradeImages(const std::vector<DeathImage> &images,
     for (std::size_t k = 0; k < n; ++k)
         out[k] = keyed[k].out;
     return out;
-}
-
-std::vector<std::uint32_t>
-TortureRig::killSitePcs(const std::vector<PowerKill> &kills) const
-{
-    const GoldenRun &g = *golden_;
-    const std::vector<std::size_t> steps = g.killSteps(kills);
-    std::vector<std::uint32_t> pcs(kills.size(), kNoKillSite);
-    for (std::size_t i = 0; i < kills.size(); ++i)
-        if (steps[i] < g.probeSteps.size())
-            pcs[i] = g.probeSteps[steps[i]].pcBefore;
-    return pcs;
 }
 
 ConvergeStats

@@ -10,8 +10,14 @@
  * runKill() then replays the schedule with a single injected supply
  * kill at an arbitrary cycle, inspects the checkpoint slots the
  * moment power dies, reboots on stable power, and checks the guest's
- * final answer against its oracle. Tests and benches sweep kills
- * across commit windows and random execution points with it.
+ * final answer against its oracle. It is the from-boot reference that
+ * tests and benches compare the campaign grader against by name.
+ *
+ * A campaign's kills come from one of two recipes on the golden run:
+ * GoldenRun::sampledKills (evenly spaced kills across every commit
+ * window plus seeded random ones) or GoldenRun::pointKills (point i of
+ * an exhaustive campaign, a pure function of the seed and i, so any
+ * sharding grades the same kills).
  *
  * Campaigns (runKills) grade from the golden run instead of replaying
  * anything before the kill. Until its kill fires, a kill run *is* the
@@ -43,9 +49,8 @@
  * The recovery memo lives for one runKills() call: a second call on
  * the same rig recovers its leaders again.
  *
- * Verdicts are bit-identical to replay-from-boot at any thread count.
- * FS_NO_SNAPSHOT=1 forces the from-boot replay; it is read on every
- * runKills() call.
+ * Verdicts are bit-identical to replay-from-boot (runKill) at any
+ * thread count.
  *
  * Why the masked key is exact. The tag fixes the runtime's boot path,
  * cycle for cycle: which slots it CRCs, which it restores, or that it
@@ -170,8 +175,14 @@ struct ConvergeStats {
     std::size_t fallbacks = 0;
 };
 
+/** TortureOutcome::site of a kill the schedule never reaches. */
+constexpr std::uint32_t kNoKillSite = 0xFFFFFFFFu;
+
 /** Everything observed about one injected kill. */
 struct TortureOutcome {
+    /** pc of the instruction the kill fires at the end of in the
+     *  fault-free schedule (kNoKillSite when it never fires). */
+    std::uint32_t site = kNoKillSite;
     bool killed = false;        ///< the kill fired before app finish
     bool killTore = false;      ///< it caught an NVM store in flight
     /** Slot forensics at the instant power died: */
@@ -280,6 +291,30 @@ struct GoldenRun {
         return probeSteps[step].writeEnd >
                (step == 0 ? 0 : probeSteps[step - 1].writeEnd);
     }
+
+    /**
+     * A sampled campaign, every draw from one Rng(@p seed) in this
+     * order: @p killsPerWindow evenly spaced kills across each commit
+     * window (window by window, ascending; none when 0), then
+     * @p randomKills kills at uniform random cycles of the clean run.
+     */
+    std::vector<PowerKill> sampledKills(std::uint32_t killsPerWindow,
+                                        std::uint32_t randomKills,
+                                        std::uint64_t seed) const;
+
+    /**
+     * Points [@p offset, @p offset + @p count) of an exhaustive
+     * campaign of @p points kills: point i kills at cycle
+     * floor(i * cleanCycles / points), and when that cycle lands on a
+     * storing step its tear parameters are drawn from
+     * util::rngForIndex(@p seed, i); every other kill keeps the
+     * defaults, since it grades the same with any. Needs
+     * offset + count <= points and (cleanCycles + 1) * points < 2^64.
+     */
+    std::vector<PowerKill> pointKills(std::uint64_t seed,
+                                      std::uint64_t points,
+                                      std::uint64_t offset,
+                                      std::uint64_t count) const;
 };
 
 /**
@@ -311,9 +346,6 @@ struct DeathImage;   ///< a kill's FRAM at death, by its golden-run place
 class TortureRig
 {
   public:
-    /** killSitePcs() value for kills the schedule never reaches. */
-    static constexpr std::uint32_t kNoKillSite = 0xFFFFFFFFu;
-
     /** Build the golden run here; a schedule that cannot anchor a
      *  campaign is fatal (use GoldenRun::build to handle it). */
     explicit TortureRig(soc::GuestProgram prog, TortureConfig config = {});
@@ -333,19 +365,18 @@ class TortureRig
     /**
      * Replay the schedule from boot with one injected supply kill,
      * then recover on stable power and validate the guest result.
-     * This is the reference path snapshot forking must match bit for
-     * bit; each replay runs on a disposable SoC, so concurrent calls
-     * are safe.
+     * This is the reference path runKills() must match bit for bit;
+     * each replay runs on a disposable SoC, so concurrent calls are
+     * safe.
      */
     TortureOutcome runKill(const PowerKill &kill) const;
 
     /**
-     * Run a batch of kills across a thread pool (null = shared pool),
-     * returning outcomes in input order. By default kills are grouped
-     * by death image and each distinct image is graded once from the
-     * golden write log (see the file comment); with FS_NO_SNAPSHOT=1
-     * every kill replays from boot. Either way the outcomes are
-     * bit-identical to calling runKill() sequentially, at any thread
+     * Grade a batch of kills across a thread pool (null = shared
+     * pool), returning outcomes in input order. Kills are grouped by
+     * death image and each distinct image is graded once from the
+     * golden write log (see the file comment); the outcomes are
+     * bit-identical to calling runKill() on each kill, at any thread
      * count. @p stats, when given, receives the grouping's accounting.
      */
     std::vector<TortureOutcome>
@@ -365,18 +396,6 @@ class TortureRig
 
     /** The FRAM image @p kill dies with, rebuilt from the golden run. */
     std::vector<std::uint8_t> deathFram(const PowerKill &kill) const;
-
-    /**
-     * Instruction (pc) each kill lands on in the fault-free schedule
-     * (kNoKillSite when the schedule finishes first): the address the
-     * coverage map aggregates verdicts under.
-     */
-    std::vector<std::uint32_t>
-    killSitePcs(const std::vector<PowerKill> &kills) const;
-
-    /** True when runKills() will grade from the golden run:
-     *  FS_NO_SNAPSHOT is unset. */
-    bool snapshotsActive() const;
 
     /** Snapshot-fork accounting (see ConvergeStats). */
     ConvergeStats convergeStats() const;

@@ -1,11 +1,9 @@
 #include "serve/client.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,7 +12,6 @@
 #include <unistd.h>
 
 #include "serve/net_io.h"
-#include "util/random.h"
 
 #include <algorithm>
 
@@ -147,34 +144,6 @@ Client::call(const Request &req, Response &resp, std::string &err)
         return false;
     return decodeResponsePayload(reply.kind, reply.payload.data(),
                                  reply.payload.size(), resp, err);
-}
-
-bool
-Client::callRetry(const Request &req, Response &resp,
-                  const RetryPolicy &policy, std::string &err)
-{
-    Rng rng(policy.jitterSeed);
-    const std::string target = endpoint_;
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        if (connected() || connect(target, err)) {
-            if (call(req, resp, err)) {
-                const auto *e = std::get_if<ErrorResult>(&resp);
-                if (!e || e->code != ErrorCode::kShuttingDown)
-                    return true;
-                err = "server draining";
-                close(); // that daemon is going away: re-dial
-            }
-            // else: transport failure, connection already closed
-        }
-        if (attempt + 1 >= policy.maxAttempts)
-            return false;
-        double ms = double(policy.backoffBaseMs) *
-                    double(std::uint64_t(1) << attempt);
-        ms = std::min(ms, double(policy.backoffMaxMs));
-        ms *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(ms));
-    }
 }
 
 bool

@@ -32,18 +32,17 @@ namespace fs {
 namespace serve {
 
 /**
- * Reconnect-and-retry policy for callRetry(): exponential backoff
- * with deterministic jitter. Attempt k sleeps
- * backoffBaseMs * 2^k, capped at backoffMaxMs, scaled by a factor
- * drawn uniformly from [1 - jitter, 1 + jitter] from a seeded
- * generator -- reproducible in tests, decorrelated in fleets.
+ * fleet::Router's retry policy: exponential backoff with
+ * deterministic jitter. Attempt k sleeps backoffBaseMs * 2^k, capped
+ * at backoffMaxMs, scaled by a factor drawn uniformly from
+ * [1 - jitter, 1 + jitter] from the router's seeded generator --
+ * reproducible in tests, decorrelated in fleets.
  */
 struct RetryPolicy {
     std::uint32_t maxAttempts = 6;
     std::uint32_t backoffBaseMs = 5;
     std::uint32_t backoffMaxMs = 320;
     double jitter = 0.25;
-    std::uint64_t jitterSeed = 0x5eedbacc;
 };
 
 class Client
@@ -83,17 +82,6 @@ class Client
      * decodes into `resp` and returns true like any other response.
      */
     bool call(const Request &req, Response &resp, std::string &err);
-
-    /**
-     * call() that survives daemon restarts: on transport failure or a
-     * kShuttingDown error it backs off per `policy`, re-dials the
-     * last connect() endpoint, and tries again. Because the engine is
-     * byte-deterministic, a retried request returns exactly the bytes
-     * the first attempt would have -- retrying is always safe.
-     * @return false with `err` set once every attempt is exhausted.
-     */
-    bool callRetry(const Request &req, Response &resp,
-                   const RetryPolicy &policy, std::string &err);
 
     /** Typed health probe (control plane, never queued). */
     bool ping(PingResult &out, std::string &err);

@@ -1,8 +1,6 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <unordered_map>
 
@@ -20,7 +18,6 @@
 #include "swarm/swarm.h"
 #include "util/env.h"
 #include "util/parallel.h"
-#include "util/random.h"
 
 namespace fs {
 namespace serve {
@@ -98,15 +95,79 @@ tortureConfig(const TortureJob &job)
 
 } // namespace
 
+TortureResult
+tortureResult(const fault::GoldenRun &run,
+              const std::vector<fault::TortureOutcome> &outcomes,
+              bool coverage)
+{
+    TortureResult res;
+    res.cleanCycles = run.cleanCycles;
+    res.checkpoints = std::uint32_t(run.windows.size());
+    res.checkpointVolts = run.vCkpt;
+    res.points = std::uint32_t(outcomes.size());
+    res.outcomeFlags.reserve(outcomes.size());
+    res.results.reserve(outcomes.size());
+    for (const fault::TortureOutcome &out : outcomes) {
+        std::uint8_t flags = 0;
+        if (out.killed)
+            flags |= kOutcomeKilled;
+        if (out.killTore)
+            flags |= kOutcomeKillTore;
+        if (out.coldRestart)
+            flags |= kOutcomeColdRestart;
+        if (out.finished)
+            flags |= kOutcomeFinished;
+        if (out.resultCorrect)
+            flags |= kOutcomeCorrect;
+        res.outcomeFlags.push_back(flags);
+        res.results.push_back(out.result);
+        res.killed += out.killed ? 1 : 0;
+        res.killTears += out.killTore ? 1 : 0;
+        res.coldRestarts += out.killed && out.coldRestart ? 1 : 0;
+        res.tornRestores += std::uint32_t(out.tornSlots);
+        res.correct += out.resultCorrect ? 1 : 0;
+        res.incorrect += out.resultCorrect ? 0 : 1;
+    }
+    if (!coverage)
+        return res;
+
+    // Attribute every verdict to the instruction the kill lands on,
+    // annotated with the static pruning map's class/rank so the
+    // dynamic coverage lines up with fs-lint's ranking.
+    const analysis::LintReport lint = analysis::lintGuestProgram(run.prog);
+    std::map<std::uint32_t, TortureCoverageWire> by_addr;
+    for (const fault::TortureOutcome &out : outcomes) {
+        const std::uint32_t addr =
+            out.site == fault::kNoKillSite ? kNoCoverageSite : out.site;
+        TortureCoverageWire &c = by_addr[addr];
+        if (c.points == 0) {
+            c.addr = addr;
+            const fault::InjectionPoint *p =
+                addr == kNoCoverageSite ? nullptr
+                                        : lint.pruningMap.find(addr);
+            // Unmapped addresses must be treated as vulnerable (the
+            // map's own contract); rank 0 marks them unranked.
+            c.cls =
+                std::uint8_t(p ? p->cls : fault::PointClass::kVulnerable);
+            c.rank = p ? p->rank : 0;
+        }
+        c.points += 1;
+        c.killed += out.killed ? 1 : 0;
+        c.correct += out.resultCorrect ? 1 : 0;
+        c.incorrect += out.resultCorrect ? 0 : 1;
+        c.coldRestarts += out.killed && out.coldRestart ? 1 : 0;
+        c.killTears += out.killTore ? 1 : 0;
+    }
+    res.coverage.reserve(by_addr.size());
+    for (const auto &entry : by_addr)
+        res.coverage.push_back(entry.second);
+    return res;
+}
+
 Engine::Engine() : Engine(Options{}) {}
 
-Engine::Engine(Options opts) : opts_(opts), cache_([&] {
-    std::string spill = opts.spillDir;
-    if (spill.empty())
-        if (const char *env = std::getenv("FS_SERVE_CACHE_DIR"))
-            spill = env;
-    return ResultCache(opts.cacheBytes, spill);
-}())
+Engine::Engine(Options opts)
+    : opts_(opts), cache_(opts.cacheBytes, opts.spillDir)
 {
     if (opts_.threads > 0)
         owned_pool_ = std::make_unique<util::ThreadPool>(opts_.threads);
@@ -203,11 +264,10 @@ Engine::executeDseShard(const DseShardJob &job) const
     return res;
 }
 
-/** A golden run plus the lint report of its program. */
+/** A golden run plus the workload it was built from. */
 struct Engine::GoldenEntry {
     WorkloadSpec workload;
     std::shared_ptr<const fault::GoldenRun> run;
-    analysis::LintReport lint;
 
     /** True when this entry is the golden run `job` would build. */
     bool serves(const TortureJob &job) const
@@ -250,7 +310,6 @@ Engine::goldenFor(const TortureJob &job, soc::GuestProgram prog,
               fault::goldenErrorMessage(error);
         return nullptr;
     }
-    entry->lint = analysis::lintGuestProgram(entry->run->prog);
     if (retain) {
         std::lock_guard<std::mutex> lock(golden_mu_);
         golden_ = entry;
@@ -281,153 +340,39 @@ Engine::executeTorture(const TortureJob &job) const
                           " cycles over " + std::to_string(power_cycles) +
                           " power cycles)");
 
-    const std::shared_ptr<const GoldenEntry> golden =
-        goldenFor(job, std::move(prog), err);
-    if (!golden)
-        return badRequest(std::move(err));
-    const fault::GoldenRun &run = *golden->run;
-    fault::TortureRig rig(golden->run);
-    const analysis::LintReport &lint = golden->lint;
-
-    const std::size_t windows = rig.checkpointCount();
-    const std::uint64_t span = rig.cleanRunCycles();
-    std::vector<fault::PowerKill> kills;
+    std::uint64_t count = 0; // points of an exhaustive shard
     if (job.exhaustivePoints > 0) {
-        // Exhaustive point-range shard: point i's kill cycle is a
-        // fixed fraction of the clean run, and its tear parameters
-        // come from an Rng derived purely from (seed, i), so any
-        // sharding of [0, exhaustivePoints) grades the exact same
-        // kills as the unsharded campaign. Only a kill whose step
-        // stores to FRAM can tear, so only those draw them: the rest
-        // grade the same with any tear parameters.
         if (job.pointOffset >= job.exhaustivePoints)
             return badRequest("point offset beyond the campaign");
-        const std::uint64_t count =
-            job.pointCount != 0
-                ? job.pointCount
-                : job.exhaustivePoints - job.pointOffset;
+        count = job.pointCount != 0 ? job.pointCount
+                                    : job.exhaustivePoints - job.pointOffset;
         if (job.pointOffset + count > job.exhaustivePoints)
             return badRequest("point range beyond the campaign");
         if (count > 100'000)
             return badRequest("shard too large (> 1e5 points); split "
                               "the range");
-        kills.resize(std::size_t(count));
-        for (std::size_t k = 0; k < kills.size(); ++k)
-            kills[k].cycle =
-                (job.pointOffset + k) * span / job.exhaustivePoints;
-        // The kill cycles ascend with i, so this is one forward walk.
-        const std::vector<std::size_t> steps = run.killSteps(kills);
-        for (std::size_t k = 0; k < kills.size(); ++k) {
-            if (steps[k] == run.probeSteps.size() ||
-                !run.stepWrote(steps[k]))
-                continue;
-            fault::PowerKill &kill = kills[k];
-            Rng rng = util::rngForIndex(job.seed, job.pointOffset + k);
-            kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
-            kill.tearFlipMask =
-                std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
-        }
-    } else {
-        // All RNG draws happen sequentially here, before the fan-out,
-        // in a fixed order -- the same discipline bench_fault_torture
-        // uses, so the outcome vector is bit-identical at any thread
-        // count.
-        Rng rng(job.seed);
-        if (job.killsPerWindow > 0) {
-            for (std::size_t w = 0; w < windows; ++w) {
-                const fault::CommitWindow window = rig.commitWindow(w);
-                const std::uint64_t stride = std::max<std::uint64_t>(
-                    1, window.length() / job.killsPerWindow);
-                for (std::uint64_t c = window.begin; c < window.end;
-                     c += stride) {
-                    fault::PowerKill kill;
-                    kill.cycle = c;
-                    kill.tearBytesKept = unsigned(rng.uniformInt(0, 3));
-                    kill.tearFlipMask =
-                        std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
-                    kills.push_back(kill);
-                }
-            }
-        }
-        for (std::uint32_t i = 0; i < job.randomKills; ++i) {
-            fault::PowerKill kill;
-            kill.cycle =
-                std::uint64_t(rng.uniformInt(0, std::int64_t(span) - 1));
-            kill.tearBytesKept = unsigned(rng.uniformInt(0, 4));
-            kill.tearFlipMask =
-                std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
-            kills.push_back(kill);
-        }
     }
 
-    const std::vector<fault::TortureOutcome> outcomes =
-        rig.runKills(kills, &pool());
-
-    TortureResult res;
-    res.cleanCycles = span;
-    res.checkpoints = std::uint32_t(windows);
-    res.checkpointVolts = rig.checkpointVolts();
-    res.points = std::uint32_t(outcomes.size());
-    res.outcomeFlags.reserve(outcomes.size());
-    res.results.reserve(outcomes.size());
-    for (const fault::TortureOutcome &out : outcomes) {
-        std::uint8_t flags = 0;
-        if (out.killed)
-            flags |= kOutcomeKilled;
-        if (out.killTore)
-            flags |= kOutcomeKillTore;
-        if (out.coldRestart)
-            flags |= kOutcomeColdRestart;
-        if (out.finished)
-            flags |= kOutcomeFinished;
-        if (out.resultCorrect)
-            flags |= kOutcomeCorrect;
-        res.outcomeFlags.push_back(flags);
-        res.results.push_back(out.result);
-        res.killed += out.killed ? 1 : 0;
-        res.killTears += out.killTore ? 1 : 0;
-        res.coldRestarts += out.killed && out.coldRestart ? 1 : 0;
-        res.tornRestores += std::uint32_t(out.tornSlots);
-        res.correct += out.resultCorrect ? 1 : 0;
-        res.incorrect += out.resultCorrect ? 0 : 1;
-    }
-
-    if (job.coverageMap != 0) {
-        // Attribute every verdict to the instruction the kill lands
-        // on, annotated with the static pruning map's class/rank so
-        // the dynamic coverage lines up with fs-lint's ranking.
-        const std::vector<std::uint32_t> sites = rig.killSitePcs(kills);
-        std::map<std::uint32_t, TortureCoverageWire> by_addr;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            const std::uint32_t addr =
-                sites[i] == fault::TortureRig::kNoKillSite
-                    ? kNoCoverageSite
-                    : sites[i];
-            TortureCoverageWire &c = by_addr[addr];
-            if (c.points == 0) {
-                c.addr = addr;
-                const fault::InjectionPoint *p =
-                    addr == kNoCoverageSite ? nullptr
-                                            : lint.pruningMap.find(addr);
-                // Unmapped addresses must be treated as vulnerable
-                // (the map's own contract); rank 0 marks them unranked.
-                c.cls = std::uint8_t(p ? p->cls
-                                       : fault::PointClass::kVulnerable);
-                c.rank = p ? p->rank : 0;
-            }
-            const fault::TortureOutcome &out = outcomes[i];
-            c.points += 1;
-            c.killed += out.killed ? 1 : 0;
-            c.correct += out.resultCorrect ? 1 : 0;
-            c.incorrect += out.resultCorrect ? 0 : 1;
-            c.coldRestarts += out.killed && out.coldRestart ? 1 : 0;
-            c.killTears += out.killTore ? 1 : 0;
-        }
-        res.coverage.reserve(by_addr.size());
-        for (const auto &entry : by_addr)
-            res.coverage.push_back(entry.second);
-    }
-    return res;
+    const std::shared_ptr<const GoldenEntry> golden =
+        goldenFor(job, std::move(prog), err);
+    if (!golden)
+        return badRequest(std::move(err));
+    const fault::GoldenRun &run = *golden->run;
+    // Exhaustive point-range shard: point i's kill is a pure function
+    // of (seed, i), so any sharding of [0, exhaustivePoints) grades the
+    // exact same kills as the unsharded campaign. Sampled job: every
+    // draw comes from one seeded generator in a fixed order. Either
+    // way the kills are fixed before the fan-out, so the outcomes are
+    // bit-identical at any thread count.
+    const std::vector<fault::PowerKill> kills =
+        job.exhaustivePoints > 0
+            ? run.pointKills(job.seed, job.exhaustivePoints,
+                             job.pointOffset, count)
+            : run.sampledKills(job.killsPerWindow, job.randomKills,
+                               job.seed);
+    fault::TortureRig rig(golden->run);
+    return tortureResult(run, rig.runKills(kills, &pool()),
+                         job.coverageMap != 0);
 }
 
 Response

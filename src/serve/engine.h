@@ -13,11 +13,15 @@
  * response is "close enough", it is the exact bytes a fresh run would
  * produce.
  *
+ * A torture job's kills come from fault::GoldenRun's two recipes
+ * (pointKills for an exhaustive point-range shard, sampledKills
+ * otherwise); the program is linted only when the job asks for a
+ * coverage map.
+ *
  * Exhaustive point-range shards of one campaign share their fault-free
- * analysis: the engine retains the most recent golden run (and the
- * program's lint report) built for an exhaustive TortureJob, keyed on
- * everything it depends on -- workload, SRAM size and power schedule.
- * It is a single entry: a shard of a
+ * analysis: the engine retains the most recent golden run built for an
+ * exhaustive TortureJob, keyed on everything it depends on -- workload,
+ * SRAM size and power schedule. It is a single entry: a shard of a
  * different campaign replaces it. Sampled torture jobs build their own
  * and retain nothing. Each request still grades on its own rig, so the
  * recovery memo never outlives the request.
@@ -44,6 +48,10 @@
 #include "serve/wire.h"
 
 namespace fs {
+namespace fault {
+struct GoldenRun;
+struct TortureOutcome;
+} // namespace fault
 namespace soc {
 struct GuestProgram;
 } // namespace soc
@@ -60,6 +68,16 @@ struct ServedResponse {
     std::uint64_t key = 0;  ///< content address of the request
     bool fromCache = false; ///< answered without re-simulation
 };
+
+/**
+ * The reply to a torture job whose kills, graded on @p run, gave
+ * @p outcomes (in kill order). With @p coverage it carries the
+ * per-instruction coverage map: each verdict counted under its
+ * outcome's kill site, annotated from the program's lint report.
+ */
+TortureResult tortureResult(const fault::GoldenRun &run,
+                            const std::vector<fault::TortureOutcome> &outcomes,
+                            bool coverage);
 
 class Engine
 {
@@ -82,10 +100,7 @@ class Engine
          */
         std::size_t threads = 0;
         std::size_t cacheBytes = 64u << 20;
-        /**
-         * On-disk spill directory; "" = FS_SERVE_CACHE_DIR env, or no
-         * spilling when that is unset too.
-         */
+        /** On-disk spill directory; "" = no spilling. */
         std::string spillDir;
     };
 

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -1205,17 +1204,6 @@ TEST(Engine, RetainedGoldenRunRepliesMatchFreshEngines)
     expect_bytes(other, freshReply(other), "other workload");
     for (const TortureJob &job : campaignShards(crc, 2))
         expect_bytes(job, freshReply(job), "campaign A, new seed");
-
-    // The path knob changes between shards of one campaign: from-boot
-    // replay over the retained golden run, then grading from its write
-    // log again, with no rebuild.
-    for (std::size_t s = 0; s < a.size(); ++s) {
-        if (s == 0)
-            ::setenv("FS_NO_SNAPSHOT", "1", 1);
-        if (s == 1)
-            ::unsetenv("FS_NO_SNAPSHOT");
-        expect_bytes(a[s], fresh_a[s], "campaign A, knob changed");
-    }
 }
 
 TEST(Engine, ConcurrentShardsOfOneCampaignMatchTheSerialRun)
@@ -1474,7 +1462,7 @@ TEST(Server, DrainsQueuedRequestsOnStop)
     EXPECT_FALSE(server.running());
 }
 
-TEST(Client, CallRetryReconnectsAfterDaemonRestart)
+TEST(Client, CallFailsWithATransportErrorOnceTheDaemonStops)
 {
     const std::string path = testSocketPath("restart");
     std::string err;
@@ -1491,34 +1479,15 @@ TEST(Client, CallRetryReconnectsAfterDaemonRestart)
     ASSERT_TRUE(client.call(req, before, err)) << err;
 
     // Kill the daemon mid-session. The live connection is now dead;
-    // a plain call() must fail with a typed transport error ...
+    // a plain call() must fail with a typed transport error and close
+    // it. (fleet::Router's retry loop re-dials; test_fleet covers it.)
     first->stop();
     first.reset();
     Response resp;
+    err.clear();
     EXPECT_FALSE(client.call(req, resp, err));
+    EXPECT_FALSE(err.empty());
     EXPECT_FALSE(client.connected());
-
-    // ... and callRetry() must ride out the outage: back off, re-dial
-    // the same endpoint, and return byte-identical results once a
-    // relaunched daemon binds the socket again.
-    std::thread relauncher([&path] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        Server::Options ropts;
-        ropts.socketPath = path;
-        Server second(ropts);
-        std::string serr;
-        ASSERT_TRUE(second.start(serr)) << serr;
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        second.stop();
-    });
-    RetryPolicy policy;
-    policy.maxAttempts = 10;
-    policy.backoffBaseMs = 10;
-    policy.backoffMaxMs = 80;
-    ASSERT_TRUE(client.callRetry(req, resp, policy, err)) << err;
-    relauncher.join();
-    EXPECT_EQ(encodeResponsePayload(resp),
-              encodeResponsePayload(before));
 }
 
 TEST(Client, ExploreDesignSpaceServedFallsBackLocally)

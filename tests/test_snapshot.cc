@@ -31,6 +31,7 @@
 #include "soc/guest_programs.h"
 #include "soc/snapshot.h"
 #include "soc/soc.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace fs {
@@ -313,6 +314,7 @@ void
 expectSameOutcome(const fault::TortureOutcome &a,
                   const fault::TortureOutcome &b, std::size_t i)
 {
+    EXPECT_EQ(a.site, b.site) << "kill " << i;
     EXPECT_EQ(a.killed, b.killed) << "kill " << i;
     EXPECT_EQ(a.killTore, b.killTore) << "kill " << i;
     EXPECT_EQ(a.validSlots, b.validSlots) << "kill " << i;
@@ -375,8 +377,6 @@ class SnapshotFork : public ::testing::Test
 
 TEST_F(SnapshotFork, ForkedVerdictsMatchFromBootAtOneAndEightThreads)
 {
-    ASSERT_TRUE(rig().snapshotsActive())
-        << "FS_NO_SNAPSHOT leaked into the test environment";
     const std::vector<fault::PowerKill> batch = kills();
     const std::vector<fault::TortureOutcome> &ref = reference();
 
@@ -402,20 +402,6 @@ TEST_F(SnapshotFork, ForkedVerdictsMatchFromBootAtOneAndEightThreads)
         << "the second call should recover as many leaders as the first";
     EXPECT_EQ(stats[2].memoHits - stats[1].memoHits, hits1);
     EXPECT_GT(rig().snapshotMemoryBytes(), 0u);
-}
-
-TEST_F(SnapshotFork, NoSnapshotEnvForcesTheLegacyPathWithSameVerdicts)
-{
-    EnvGuard guard("FS_NO_SNAPSHOT", "1");
-    EXPECT_FALSE(rig().snapshotsActive());
-    const std::vector<fault::PowerKill> batch = kills();
-    const std::vector<fault::TortureOutcome> &ref = reference();
-
-    util::ThreadPool pool(4);
-    const auto legacy = rig().runKills(batch, &pool);
-    ASSERT_EQ(legacy.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        expectSameOutcome(ref[i], legacy[i], i);
 }
 
 TEST_F(SnapshotFork, RigsSharingOneGoldenRunGradeConcurrently)
@@ -462,7 +448,6 @@ TEST_F(SnapshotFork, BootAndCommitWindowImagesGradeFromTheWriteLog)
     // The golden run keeps only the boot and commit-window images;
     // kills are graded from the write log, with the reference verdicts.
     fault::TortureRig fresh(rig().golden());
-    ASSERT_TRUE(fresh.snapshotsActive());
     EXPECT_EQ(fresh.convergeStats().goldenSnapshots,
               1 + 2 * fresh.checkpointCount());
 
@@ -756,8 +741,8 @@ TEST_F(SnapshotFork, RecoveriesRunOncePerKeyAtOneAndEightThreads)
 
 /**
  * Points [@p offset, @p offset + @p count) of an exhaustive campaign of
- * @p points kills, as serve::Engine derives them: ascending in cycle,
- * with each tear drawn from (seed, point).
+ * @p points kills: ascending in cycle, with every kill's tear drawn
+ * from (seed, point), storing step or not.
  */
 std::vector<fault::PowerKill>
 exhaustiveShard(const fault::GoldenRun &g, std::uint64_t points,
@@ -821,6 +806,103 @@ TEST_F(SnapshotFork, KillStepWalkEqualsBinarySearch)
                 << "cycle " << c << " from " << at - back;
         }
     }
+}
+
+/**
+ * Check g.pointKills(@p seed, @p points, @p offset, @p count) against
+ * its definition point by point: point i kills at
+ * floor(i * cleanCycles / points) and carries rngForIndex(seed, i)'s
+ * tear exactly when that cycle lands on a storing step. Returns how
+ * many of the points tear.
+ */
+std::size_t
+expectPointKills(const fault::GoldenRun &g, std::uint64_t seed,
+                 std::uint64_t points, std::uint64_t offset,
+                 std::uint64_t count)
+{
+    const std::vector<fault::PowerKill> kills =
+        g.pointKills(seed, points, offset, count);
+    EXPECT_EQ(kills.size(), count);
+    std::size_t tearing = 0;
+    for (std::size_t k = 0; k < kills.size(); ++k) {
+        const std::uint64_t i = offset + k;
+        fault::PowerKill want{i * g.cleanCycles / points, 0, 0};
+        const std::size_t step = g.stepAt(want.cycle);
+        if (step < g.probeSteps.size() && g.stepWrote(step)) {
+            Rng rng = util::rngForIndex(seed, i);
+            want.tearBytesKept = unsigned(rng.uniformInt(0, 4));
+            want.tearFlipMask =
+                std::uint32_t(rng.uniformInt(0, 0xffffffffLL));
+            ++tearing;
+        }
+        const fault::PowerKill &got = kills[k];
+        if (got.cycle != want.cycle ||
+            got.tearBytesKept != want.tearBytesKept ||
+            got.tearFlipMask != want.tearFlipMask) {
+            ADD_FAILURE() << "point " << i << " of " << points
+                          << " (shard at " << offset << ", step " << step
+                          << ")";
+            break;
+        }
+    }
+    return tearing;
+}
+
+TEST(PointKills, EveryShardOfTheGradeCampaignTearsOnStoringStepsOnly)
+{
+    // perfbench's `grade` campaign: CRC-32 over 4096 bytes (data seed
+    // 11), 60k stable / 30k brown-out cycles, 48,000 points in 8
+    // shards.
+    fault::TortureConfig config;
+    config.stableCycles = 60'000;
+    config.lowCycles = 30'000;
+    const std::shared_ptr<const fault::GoldenRun> g =
+        fault::GoldenRun::build(soc::makeCrc32Program(4096, 11), config);
+    ASSERT_TRUE(g);
+    constexpr std::uint64_t kPoints = 48'000;
+    constexpr std::uint64_t kShards = 8;
+    for (std::uint64_t seed : {1ull, 7919ull}) {
+        std::size_t tearing = 0;
+        for (std::uint64_t s = 0; s < kShards; ++s)
+            tearing += expectPointKills(*g, seed, kPoints,
+                                        s * kPoints / kShards,
+                                        kPoints / kShards);
+        EXPECT_GT(tearing, 0u) << "seed " << seed;
+        EXPECT_LT(tearing, kPoints / 2) << "seed " << seed;
+    }
+    // The first and the last point, each as a 1-point shard.
+    expectPointKills(*g, 1, kPoints, 0, 1);
+    expectPointKills(*g, 1, kPoints, kPoints - 1, 1);
+}
+
+TEST_F(SnapshotFork, PointKillsDenserThanCyclesTearOnStoringStepsOnly)
+{
+    // More points than cycles: up to four points share each cycle, and
+    // every storing step's first and last cycle are some point's.
+    const fault::GoldenRun &g = *rig().golden();
+    const std::uint64_t points = 3 * g.cleanCycles + 1;
+    const fault::CommitWindow w = rig().commitWindow(0);
+    const std::uint64_t offset = (w.begin - 4) * points / g.cleanCycles;
+    const std::uint64_t count =
+        (w.end + 4) * points / g.cleanCycles - offset;
+    EXPECT_GT(expectPointKills(g, 9, points, offset, count), 0u);
+
+    // Every point of that range as a 1-point shard, so each storing
+    // step's first and last point start and end a shard.
+    const std::vector<fault::PowerKill> shard =
+        g.pointKills(9, points, offset, count);
+    for (std::uint64_t k = 0; k < count; ++k) {
+        const std::vector<fault::PowerKill> one =
+            g.pointKills(9, points, offset + k, 1);
+        ASSERT_EQ(one.size(), 1u);
+        ASSERT_EQ(one[0].cycle, shard[k].cycle) << "point " << offset + k;
+        ASSERT_EQ(one[0].tearBytesKept, shard[k].tearBytesKept)
+            << "point " << offset + k;
+        ASSERT_EQ(one[0].tearFlipMask, shard[k].tearFlipMask)
+            << "point " << offset + k;
+    }
+    expectPointKills(g, 9, points, 0, 1);
+    expectPointKills(g, 9, points, points - 1, 1);
 }
 
 TEST_F(SnapshotFork, ShuffledShardGradesLikeTheAscendingShard)
@@ -1320,19 +1402,75 @@ TEST(EngineExhaustive, ShardedCampaignMergesToTheUnshardedBytes)
               serve::encodeResponsePayload(full));
 }
 
-TEST(EngineExhaustive, NoSnapshotEnvProducesTheSameBytes)
+/**
+ * The reply to exhaustive CRC-32 @p job graded from boot: runKill on
+ * every one of the job's point kills.
+ */
+serve::TortureResult
+fromBootReply(const serve::TortureJob &job)
 {
-    const serve::Response forked = [] {
-        serve::Engine engine(serve::Engine::Options{2, 16u << 20, ""});
-        return engine.execute(serve::Request{campaignJob()});
-    }();
-    const serve::Response legacy = [] {
-        EnvGuard guard("FS_NO_SNAPSHOT", "1");
-        serve::Engine engine(serve::Engine::Options{2, 16u << 20, ""});
-        return engine.execute(serve::Request{campaignJob()});
-    }();
-    EXPECT_EQ(serve::encodeResponsePayload(legacy),
-              serve::encodeResponsePayload(forked));
+    fault::TortureConfig config;
+    config.sramSize = job.sramSize;
+    config.stableCycles = job.stableCycles;
+    config.lowCycles = job.lowCycles;
+    const fault::TortureRig rig(
+        soc::makeCrc32Program(job.workload.a, job.workload.seed), config);
+    const fault::GoldenRun &g = *rig.golden();
+    const std::vector<fault::PowerKill> kills = g.pointKills(
+        job.seed, job.exhaustivePoints, job.pointOffset,
+        job.pointCount != 0 ? job.pointCount
+                            : job.exhaustivePoints - job.pointOffset);
+    const std::vector<fault::TortureOutcome> outcomes =
+        util::ThreadPool::shared().parallelMap(
+            kills.size(),
+            [&](std::size_t i) { return rig.runKill(kills[i]); });
+    return serve::tortureResult(g, outcomes, job.coverageMap != 0);
+}
+
+TEST(EngineExhaustive, RepliesMatchFromBootGrading)
+{
+    serve::Engine engine(serve::Engine::Options{2, 16u << 20, ""});
+    const serve::TortureJob job = campaignJob();
+    EXPECT_EQ(serve::encodeResponsePayload(
+                  engine.execute(serve::Request{job})),
+              serve::encodeResponsePayload(fromBootReply(job)));
+}
+
+TEST(EngineExhaustive, SmokeCampaignMatchesFromBootAtEveryPoint)
+{
+    // `fs_client --local campaign --workload crc32 --a 1024 --wseed 7
+    // --exhaustive 10000 --digest --coverage-json` under two seeds:
+    // one job over every point, and its digest (FNV-1a over the
+    // outcome flags, then the results) as replay-from-boot grading
+    // recorded it.
+    const struct {
+        std::uint64_t seed;
+        std::uint64_t digest;
+    } campaigns[] = {{0xF5C0FFEE, 0xee31260af14e1dc5ull},
+                     {77, 0xc81ec0f139ecdf8bull}};
+    serve::Engine engine(serve::Engine::Options{0, 64u << 20, ""});
+    for (const auto &campaign : campaigns) {
+        serve::TortureJob job;
+        job.workload.kind = serve::WorkloadSpec::Kind::kCrc32;
+        job.workload.a = 1024;
+        job.workload.seed = 7;
+        job.seed = campaign.seed;
+        job.exhaustivePoints = 10'000;
+        job.pointCount = 10'000;
+        job.coverageMap = 1;
+        const serve::TortureResult ref = fromBootReply(job);
+        std::uint64_t digest =
+            util::fnv1a64(ref.outcomeFlags.data(), ref.outcomeFlags.size());
+        digest = util::fnv1a64(ref.results.data(),
+                               ref.results.size() * sizeof(std::uint32_t),
+                               digest);
+        EXPECT_EQ(digest, campaign.digest) << "seed " << campaign.seed;
+        EXPECT_FALSE(ref.coverage.empty());
+        EXPECT_EQ(serve::encodeResponsePayload(
+                      engine.execute(serve::Request{job})),
+                  serve::encodeResponsePayload(ref))
+            << "seed " << campaign.seed;
+    }
 }
 
 TEST(EngineExhaustive, RejectsMalformedShardRanges)
